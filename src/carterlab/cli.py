@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    carter-lab check run <id|all> [--tier quick|full] [--format json] [-j N]
+    carter-lab check run <id|all> [--tier quick|full] [--format json]
     carter-lab carter <group-spec> [--cap N]
     carter-lab roots subsystems <type>
     carter-lab roots omega <type>
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .linear.groupspec import GroupSpecError, realize
@@ -27,14 +26,6 @@ from .rootsys.weyl import f_conjugacy_classes, twist_by_name, weyl_group
 from .verify import REGISTRY, render_reports
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
-
-
-def _default_parallelism() -> int:
-    env = os.environ.get("CARTERLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("case_id", help="a case id, or 'all'")
     run.add_argument("--tier", choices=("quick", "full"), default=None)
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("-j", "--parallelism", type=int, default=_default_parallelism())
     lst = check_sub.add_parser("list", help="list registered cases")
     lst.add_argument("--tier", choices=("quick", "full"), default=None)
     lst.add_argument("--format", choices=("text", "json"), default="text")
@@ -105,7 +95,7 @@ def _cmd_check(args) -> int:
                 print(f"{c.id:36s} [{c.tier}] {c.description}")
         return EXIT_PASS
     if args.case_id == "all":
-        reports = REGISTRY.run_all(args.tier, args.parallelism)
+        reports = REGISTRY.run_all(args.tier)
     else:
         reports = [REGISTRY.run_case(args.case_id)]
     print(render_reports(reports, args.format))

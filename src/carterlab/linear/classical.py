@@ -181,20 +181,6 @@ def sp_generators(n2: int, q: int) -> list[Matrix]:
     return gens
 
 
-def su_unipotent(q: int, a: int, b: int) -> Matrix:
-    """Upper unitriangular [[1,a,b],[0,1,-a^q],[0,0,1]] in SU(3, q).
-
-    Requires b + b^q + a^(q+1) = 0 over GF(q^2).
-    """
-    p, k = _split_prime_power(q)
-    F = field_make(p, 2 * k)
-    aq = F.pow(a, q) if a else 0
-    cond = F.add(F.add(b, F.pow(b, q) if b else 0), F.mul(a, aq))
-    if cond != 0:
-        raise ValueError("b + b^q + a^(q+1) != 0")
-    return Matrix(F, [[1, a, b], [0, 1, F.neg(aq)], [0, 0, 1]])
-
-
 def _su_unipotent_all(q: int) -> list[Matrix]:
     p, k = _split_prime_power(q)
     F = field_make(p, 2 * k)

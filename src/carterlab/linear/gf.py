@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import functools
 
+from ..permgrp.sylow import is_prime, prime_factors
+
 
 class FiniteField:
     """GF(p^k); immutable and safely shareable after construction."""
 
     def __init__(self, p: int, k: int = 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1 or p ** k > 2 ** 16:
             raise ValueError("field size must be between p and 2^16")
@@ -137,10 +139,6 @@ def _encode(digits, p: int) -> int:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def _poly_mulmod(a, b, mod, p):
     """(a*b) mod (x^k + mod_low) over GF(p); polys are digit lists."""
     k = len(mod) - 1
@@ -178,7 +176,7 @@ def _is_irreducible(mod, p: int) -> bool:
     xq = _poly_powmod(x, p ** k, mod, p)
     if xq[:2] != [0, 1] or any(c for c in xq[2:]):
         return False
-    for r in set(_prime_factors(k)):
+    for r in prime_factors(k):
         xr = _poly_powmod(x, p ** (k // r), mod, p)
         # x^(p^(k/r)) - x must be coprime to mod; since mod has degree k,
         # it suffices that the difference is not zero mod any root, i.e.
@@ -212,7 +210,7 @@ def _root_is_primitive(mod, p: int) -> bool:
     k = len(mod) - 1
     n = p ** k - 1
     x = [0, 1]
-    for r in set(_prime_factors(n)):
+    for r in prime_factors(n):
         xr = _poly_powmod(x, n // r, mod, p)
         if xr[0] == 1 and not any(xr[1:]):
             return False
@@ -247,17 +245,3 @@ def _multiplicative_order(a: int, p: int) -> int:
         cur = (cur * a) % p
         o += 1
     return o
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -1,7 +1,7 @@
 """Permutation-group engine: stabilizer chains, searches, Carter tools."""
 
 from .perm import Perm, parse_perm
-from .group import PermGroup, group_from_generators, DegreeMismatchError
+from .group import PermGroup, DegreeMismatchError
 from .search import (
     are_conjugate_elements,
     are_conjugate_subgroups,
@@ -33,8 +33,8 @@ from .carter import (
 from .io import group_from_json, group_to_json, load_group, save_group
 
 __all__ = [
-    "Perm", "parse_perm", "PermGroup", "group_from_generators",
-    "DegreeMismatchError", "are_conjugate_elements", "are_conjugate_subgroups",
+    "Perm", "parse_perm", "PermGroup", "DegreeMismatchError",
+    "are_conjugate_elements", "are_conjugate_subgroups",
     "canonical_of_cycle_type", "centralizer_in_sym", "conjugacy_classes",
     "element_centralizer", "subgroup_centralizer", "subgroup_normalizer",
     "SearchCapExceeded", "is_nilpotent", "lower_central_series",

@@ -21,9 +21,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .group import PermGroup
-from .search import (are_conjugate_subgroups, conjugacy_classes,
+from .perm import Perm
+from .search import (are_conjugate_subgroups, conjugacy_classes, orbits,
                      subgroup_centralizer, subgroup_normalizer)
-from .sylow import is_nilpotent, p_part, sylow_subgroup
+from .sylow import is_nilpotent, is_prime, p_part, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
@@ -82,50 +83,24 @@ class _ClassLedger:
 def _prime_order_candidates(N: PermGroup, H: PermGroup):
     """Elements of N of prime order modulo H, up to N-conjugacy.
 
-    Deterministic: candidates are collected in enumeration order and
-    orbit representatives are the least element of each N-class.
+    Deterministic: each orbit representative is the least element of its
+    N-class.  The candidate set is N-invariant, since N normalizes H.
     """
-    h_order = H.order()
-    candidates = set()
-    for y in N.elements():
+    def prime_step(y) -> bool:
         if y in H:
-            continue
-        o = y.order()
-        step = None
-        for m in sorted(_divisors(o)):
-            if m > 1 and (y ** m) in H:
-                step = m
-                break
-        if step is not None and _is_prime(step):
-            candidates.add(y)
-    # orbit-partition the candidate set under conjugation by N
-    reps = []
-    remaining = set(candidates)
-    gens = N.generators
-    while remaining:
-        x = min(remaining)
-        orbit = {x}
-        queue = [x]
-        while queue:
-            z = queue.pop()
-            for s in gens:
-                w = z.conjugate(s)
-                if w in remaining and w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        remaining -= orbit
-        reps.append(x)
-    return reps
+            return False
+        step = next(m for m in sorted(_divisors(y.order()))
+                    if m > 1 and (y ** m) in H)
+        return is_prime(step)
+
+    candidates = (y for y in N.elements() if prime_step(y))
+    return [o[0] for o in orbits(candidates, N.generators, Perm.conjugate)]
 
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
     out += [n // d for d in reversed(out) if d * d != n]
     return out
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
@@ -147,7 +122,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: prime-order class representatives of G itself
-            reps = [rep for rep, _ in conjugacy_classes(G) if _is_prime(rep.order())]
+            reps = [rep for rep, _ in conjugacy_classes(G) if is_prime(rep.order())]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise SearchCapError(

@@ -233,24 +233,9 @@ class PermGroup:
 
     def natural_orbits(self) -> list[list[int]]:
         """Orbits of the group on its domain (an invariant under conjugation)."""
-        seen = [False] * self.degree
-        orbits = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                p = queue.pop()
-                for s in self.generators:
-                    q = s[p]
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.append(q)
-                        queue.append(q)
-            orbits.append(sorted(orbit))
-        return orbits
+        from .search import orbits  # search imports this module
+        return [sorted(o) for o in orbits(range(self.degree), self.generators,
+                                          lambda p, s: s[p])]
 
     def orbit_signature(self) -> tuple:
         return tuple(sorted(len(o) for o in self.natural_orbits()))
@@ -260,7 +245,3 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
-
-
-def group_from_generators(gens, degree: int) -> PermGroup:
-    return PermGroup(gens, degree)

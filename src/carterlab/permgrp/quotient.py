@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .perm import Perm
 from .group import PermGroup
+from .search import orbit
 
 
 class NotNormalError(ValueError):
@@ -70,18 +71,8 @@ def quotient_group(G: PermGroup, N: PermGroup,
     def coset_key(g: Perm) -> Perm:
         return min(n * g for n in n_elements)
 
-    ident_key = coset_key(Perm.identity(G.degree))
-    keys = {ident_key}
-    frontier = [ident_key]
-    while frontier:
-        new = []
-        for key in frontier:
-            for s in G.generators:
-                k2 = coset_key(key * s)
-                if k2 not in keys:
-                    keys.add(k2)
-                    new.append(k2)
-        frontier = new
+    keys = orbit([coset_key(Perm.identity(G.degree))], G.generators,
+                 lambda key, s: coset_key(key * s))
     assert len(keys) == index
     ordered = tuple(sorted(keys))
     coset_index = {key: i for i, key in enumerate(ordered)}

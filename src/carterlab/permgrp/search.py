@@ -9,7 +9,9 @@ redundant, which keeps generating sets small; when the stabilizer's
 order is known in advance the harvest stops early.
 
 Orbits are walked breadth-first with generators in a fixed order, so
-every result (including returned conjugators) is deterministic.
+every result (including returned conjugators) is deterministic.  Walks
+that need no transversal (orbit partitions, closures) use ``orbit`` and
+``orbits``, which the rest of the package shares.
 """
 
 from __future__ import annotations
@@ -86,6 +88,38 @@ def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(),
             if builder.done():
                 break
     return (builder.group if collect else None), transversal, None
+
+
+def orbit(seeds, gens, act) -> list:
+    """The orbit of ``seeds`` under ``gens``, in breadth-first discovery order.
+
+    ``seeds`` are distinct points; ``act(point, g)`` applies generator g.
+    Generators are tried in their given order, so the returned order is
+    deterministic.
+    """
+    points = list(seeds)
+    seen = set(points)
+    for point in points:        # the list grows while it is walked
+        for g in gens:
+            image = act(point, g)
+            if image not in seen:
+                seen.add(image)
+                points.append(image)
+    return points
+
+
+def orbits(points, gens, act):
+    """Yield the orbits of ``gens`` on ``points``, one at a time.
+
+    The least unassigned point starts each orbit, so when ``points`` is
+    a union of orbits every orbit comes first-point-least, and orbits
+    arrive in increasing order of their least points.
+    """
+    remaining = set(points)
+    while remaining:
+        found = orbit([min(remaining)], gens, act)
+        remaining.difference_update(found)
+        yield found
 
 
 def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
@@ -180,31 +214,11 @@ def conjugacy_classes(G: PermGroup):
     if G.order() > CLASS_ENUMERATION_CAP:
         raise SearchCapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
-    unassigned = set(G.elements())
-    gens = G.generators
-    classes = []
-    while unassigned:
-        x = min(unassigned)
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for s in gens:
-                z = y.conjugate(s)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        unassigned -= orbit
-        classes.append((min(orbit), len(orbit)))
+    classes = [(cls[0], len(cls))
+               for cls in orbits(G.elements(), G.generators, Perm.conjugate)]
     classes.sort(key=lambda c: (c[1], c[0]))
     assert sum(size for _, size in classes) == G.order()
     return classes
-
-
-def conjugacy_class_with_transversal(G: PermGroup, x: Perm):
-    """The class of x as a dict element -> conjugating transversal perm."""
-    _, transversal, _ = _orbit_stabilizer(G, x, Perm.conjugate, collect=False)
-    return transversal
 
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,

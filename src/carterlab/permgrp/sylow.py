@@ -27,6 +27,10 @@ def set_default_seed(seed: int):
     DEFAULT_SEED = seed
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -57,7 +61,7 @@ def _p_element_part(g: Perm, p: int) -> Perm:
 
 def sylow_subgroup(G: PermGroup, p: int, seed: int | None = None) -> PermGroup:
     """A Sylow p-subgroup of G (trivial if p does not divide |G|)."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order(), p)
     if target == 1:

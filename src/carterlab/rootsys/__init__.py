@@ -3,7 +3,6 @@
 from .roots import (
     RootSystem,
     SUPPORTED,
-    coords_in_basis,
     highest_root,
     is_closed_abelian,
     levi_subsystem,
@@ -30,7 +29,7 @@ from .subsystems import Subsystem, borel_de_siebenthal, classify_component, subs
 from .e6scan import ClassScanResult, e6_centralizer_scan, scan_order3_self_normalizers
 
 __all__ = [
-    "RootSystem", "SUPPORTED", "coords_in_basis", "highest_root",
+    "RootSystem", "SUPPORTED", "highest_root",
     "is_closed_abelian", "levi_subsystem", "omega_fixed_roots", "pairing",
     "root_system", "F_CLASS_CAP", "TorusClass", "Twist", "WeylGroupRep",
     "element_words", "f_conjugacy_classes", "flip_twist", "identity_twist",

@@ -2,11 +2,11 @@
 
 For every conjugacy class representative y of W(E6), the scan checks
 that the centralizer C = C_W(y) contains no self-normalizing subgroup
-of order 3.  Since N_C(<x>)/C_C(x) embeds in Aut(Z_3), the subgroup
-<x> is self-normalizing exactly when C_C(x) = <x> and x is not
-conjugate to x^2 within C; both facts fall out of the conjugation
-orbits of the order-3 elements of C, so no subgroup-normalizer
-machinery is needed per element.
+of order 3.  The subgroup <x> is self-normalizing exactly when its
+conjugation orbit among the order-3 subgroups of C has |C|/3 members,
+so one orbit partition of those subgroups (each named by its least
+generator) settles every class, with no subgroup-normalizer machinery
+per element.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..permgrp.group import PermGroup
 from ..permgrp.perm import Perm
 from ..permgrp.search import (conjugacy_classes,
-                              element_centralizer_with_known_index)
+                              element_centralizer_with_known_index, orbits)
 from .roots import root_system
 from .weyl import weyl_group
 
@@ -38,33 +38,17 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
     """(number of order-3 subgroup classes, offending generators) in C."""
     if C.order() % 3:
         return 0, []
-    order3 = sorted(g for g in C.elements() if g.order() == 3)
-    gens = C.generators
-    remaining = set(order3)
-    offenders = []
-    n_classes = 0
-    while remaining:
-        x = min(remaining)
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for s in gens:
-                z = y.conjugate(s)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        x_sq = x * x
-        # <x> and <x^2> are the same subgroup; retire both element classes
-        retired = set(orbit)
-        if x_sq not in orbit:
-            sq_orbit = {z * z for z in orbit}
-            retired |= sq_orbit
-        remaining -= retired
+
+    def canonical(y: Perm) -> Perm:     # one generator per subgroup <y>
+        return min(y, y * y)
+
+    subgroups = (canonical(y) for y in C.elements() if y.order() == 3)
+    n_classes, offenders = 0, []
+    for found in orbits(subgroups, C.generators,
+                        lambda x, s: canonical(x.conjugate(s))):
         n_classes += 1
-        centralizer_order = C.order() // len(orbit)
-        if centralizer_order == 3 and x_sq not in orbit:
-            offenders.append(x)
+        if 3 * len(found) == C.order():     # |N_C(<x>)| = 3
+            offenders.append(found[0])
     return n_classes, offenders
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
+
+from ..permgrp.search import orbit
 
 SUPPORTED = {
     "A": range(1, 8),
@@ -129,9 +130,8 @@ def root_system(type_label: str, rank: int) -> RootSystem:
     if type_label not in SUPPORTED or rank not in SUPPORTED[type_label]:
         raise ValueError(f"unsupported root system {type_label}{rank}")
     simples = _simple_roots(type_label, rank)
-    roots = reflection_closure(simples, simples)
-    coords = {r: _coords_over(simples, r) for r in roots}
-    ordered = tuple(sorted(roots))
+    coords = reflection_closure(simples)
+    ordered = tuple(sorted(coords))
     return RootSystem(
         type_label=type_label,
         rank=rank,
@@ -142,67 +142,21 @@ def root_system(type_label: str, rank: int) -> RootSystem:
     )
 
 
-def reflection_closure(seed_roots, reflecting_roots) -> set[tuple]:
-    """Close seed_roots under the reflections of reflecting_roots."""
-    roots = set(seed_roots)
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for x in frontier:
-            for r in reflecting_roots:
-                y = _sub(x, _scale(pairing(x, r), r))
-                if y not in roots:
-                    roots.add(y)
-                    new.append(y)
-        frontier = new
-    return roots
+def reflection_closure(basis) -> dict:
+    """Every root of the system with fundamental roots ``basis``, mapped
+    to its integer coordinates over them.
 
+    The walk moves (root, coordinates) pairs: the reflection in a_j takes
+    x to x - <x, a_j> a_j, which lowers coordinate j by <x, a_j>.
+    """
+    def reflect(point, j):
+        x, c = point
+        n = pairing(x, basis[j])
+        return _sub(x, _scale(n, basis[j])), c[:j] + (c[j] - n,) + c[j + 1:]
 
-def _coords_over(basis, target) -> tuple:
-    """Integer coordinates of target over the basis (exact, or raises)."""
-    coords = _rational_coords(basis, target)
-    if coords is None or any(c.denominator != 1 for c in coords):
-        raise ValueError(f"{target} is not an integer combination of the basis")
-    return tuple(int(c) for c in coords)
-
-
-def _rational_coords(basis, target):
-    """Solve sum c_i basis_i = target over Q; None if inconsistent."""
-    rows = [list(col) for col in zip(*basis)]  # ambient_dim x len(basis)
-    m = len(rows)
-    k = len(basis)
-    aug = [[Fraction(rows[i][j]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    # consistency
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    coords = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivot_cols):
-        coords[c] = aug[row_idx][k]
-    return coords
-
-
-def coords_in_basis(basis, target):
-    """Rational coordinates of target over an independent basis, or None."""
-    return _rational_coords(basis, target)
+    units = [tuple(int(i == j) for i in range(len(basis)))
+             for j in range(len(basis))]
+    return dict(orbit(zip(basis, units), range(len(basis)), reflect))
 
 
 def highest_root(system: RootSystem) -> tuple[tuple, tuple]:

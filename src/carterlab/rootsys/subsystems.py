@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import RootSystem, coords_in_basis, pairing, reflection_closure
+from ..permgrp.search import orbit
+from .roots import RootSystem, pairing, reflection_closure
 from .weyl import WeylGroupRep
 
 
@@ -48,25 +49,14 @@ def _dot(u, v) -> int:
 
 
 def _subsystem_roots(system: RootSystem, basis) -> frozenset:
-    if not basis:
-        return frozenset()
-    roots = reflection_closure(basis, basis)
+    roots = frozenset(reflection_closure(basis))
     assert roots <= set(system.roots)
-    return frozenset(roots)
+    return roots
 
 
-def _highest_in_component(system: RootSystem, comp_basis) -> tuple:
-    roots = _subsystem_roots(system, comp_basis)
-    def height(r):
-        coords = coords_in_basis(comp_basis, r)
-        return sum(coords) if coords else None
-    best = None
-    best_h = None
-    for r in roots:
-        h = height(r)
-        if h is not None and (best_h is None or h > best_h):
-            best, best_h = r, h
-    return best
+def _highest_in_component(comp_basis) -> tuple:
+    coords = reflection_closure(comp_basis)
+    return max(coords, key=lambda r: sum(coords[r]))
 
 
 def classify_component(system: RootSystem, comp_basis) -> str:
@@ -149,21 +139,8 @@ def subsystem_label(system: RootSystem, basis) -> str:
 
 def _canonical_key(W: WeylGroupRep, root_ids: frozenset) -> tuple:
     """Least sorted index tuple over the Weyl orbit of the root set."""
-    start = tuple(sorted(root_ids))
-    best = start
-    seen = {start}
-    queue = [start]
-    gens = W.simple_reflections
-    while queue:
-        cur = queue.pop()
-        for s in gens:
-            img = tuple(sorted(s[i] for i in cur))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-                if img < best:
-                    best = img
-    return best
+    return min(orbit([tuple(sorted(root_ids))], W.simple_reflections,
+                     lambda ids, s: tuple(sorted(s[i] for i in ids))))
 
 
 def borel_de_siebenthal(system: RootSystem, W: WeylGroupRep | None = None) -> list[Subsystem]:
@@ -186,7 +163,7 @@ def borel_de_siebenthal(system: RootSystem, W: WeylGroupRep | None = None) -> li
         for x in basis:  # plain node removal
             candidates.append(tuple(r for r in basis if r != x))
         for comp in _components(basis):  # extended-diagram removal
-            low = tuple(-a for a in _highest_in_component(system, comp))
+            low = tuple(-a for a in _highest_in_component(comp))
             rest = tuple(r for r in basis if r not in comp)
             extended = tuple(comp) + (low,)
             for x in comp:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup
+from ..permgrp.search import orbits
 from .roots import RootSystem, pairing
 
 F_CLASS_CAP = 51_840
@@ -185,25 +186,13 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
     t_inv = t.inverse()
     twisted_gens = [(s.inverse(), t_inv * s * t) for s in W.simple_reflections]
     words = element_words(W)
-    unassigned = set(words)
     classes = []
-    while unassigned:
-        x = min(unassigned)
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for s_inv, s_tau in twisted_gens:
-                z = s_inv * y * s_tau
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        unassigned -= orbit
-        rep = min(orbit, key=lambda e: (len(words[e]), words[e]))
+    for found in orbits(words, twisted_gens, lambda y, g: g[0] * y * g[1]):
+        rep = min(found, key=lambda e: (len(words[e]), words[e]))
         classes.append(TorusClass(
             rep=rep,
             rep_word=words[rep],
-            size=len(orbit),
+            size=len(found),
             order_poly=order_polynomial(W, rep, tau),
         ))
     classes.sort(key=lambda c: (c.size, c.rep_word))

@@ -17,8 +17,8 @@ from ..permgrp.carter import (carter_class_containing_sylow2, carter_subgroups,
                               check_syl2_criterion, is_carter_witness)
 from ..permgrp.group import PermGroup
 from ..permgrp.quotient import quotient_group
-from ..permgrp.search import (are_conjugate_elements, subgroup_centralizer,
-                              subgroup_normalizer)
+from ..permgrp.search import (are_conjugate_elements, orbits,
+                              subgroup_centralizer, subgroup_normalizer)
 from ..permgrp.sylow import p_part, sylow_subgroup
 from ..rootsys.e6scan import e6_centralizer_scan
 from ..rootsys.roots import (highest_root, is_closed_abelian, omega_fixed_roots,
@@ -183,12 +183,8 @@ def _register_suites():
     def inh_suite():
         details = []
         for h_spec, g_spec in [("PSL(2,7)", "PGL(2,7)"), ("Alt(6)", "Sym(6)")]:
-            if h_spec.startswith("P"):
-                G = realize(g_spec).group
-                H = realize(h_spec).group
-            else:
-                G = realize(g_spec).group
-                H = realize(h_spec).group
+            G = realize(g_spec).group
+            H = realize(h_spec).group
             expect(H.is_subgroup_of(G), f"{h_spec} is not inside {g_spec}")
             index = G.order() // H.order()
             expect(index & (index - 1) == 0, f"index {index} is not a 2-power")
@@ -438,25 +434,12 @@ def _register_semilinear_cases():
         Gamma, G = rg.group, rg.inner
         outer3 = [g for g in Gamma.elements()
                   if g.order() == 3 and g not in G]
-        subgroups = {frozenset((g, g * g)) for g in outer3}
-        gens = G.generators
-        remaining = set(subgroups)
-        orbits = 0
-        while remaining:
-            seed = min(remaining, key=sorted)
-            orbit = {seed}
-            queue = [seed]
-            while queue:
-                fp = queue.pop()
-                for s in gens:
-                    img = frozenset(x.conjugate(s) for x in fp)
-                    if img in remaining and img not in orbit:
-                        orbit.add(img)
-                        queue.append(img)
-            remaining -= orbit
-            orbits += 1
-        expect(orbits == 1, f"{orbits} socle-orbits of order-3 complements")
-        return {"complements": len(subgroups), "orbits": orbits}, \
+        subgroups = {tuple(sorted((g, g * g))) for g in outer3}
+        n_orbits = sum(1 for _ in orbits(
+            subgroups, G.generators,
+            lambda fp, s: tuple(sorted(x.conjugate(s) for x in fp))))
+        expect(n_orbits == 1, f"{n_orbits} socle-orbits of order-3 complements")
+        return {"complements": len(subgroups), "orbits": n_orbits}, \
             f"{len(subgroups)} cyclic complements form a single orbit"
 
     @_case("carter-semilinear-2g2",
@@ -543,8 +526,8 @@ def run_case(case_id: str):
     return REGISTRY.run_case(case_id)
 
 
-def run_all(tier: str | None = None, parallelism: int = 1):
-    return REGISTRY.run_all(tier, parallelism)
+def run_all(tier: str | None = None):
+    return REGISTRY.run_all(tier)
 
 
 def regenerate_derived() -> dict:

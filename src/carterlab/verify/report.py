@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 from ..permgrp.carter import SearchCapError
 from ..permgrp.search import SearchCapExceeded
@@ -116,12 +115,8 @@ class Registry:
     def run_case(self, case_id: str) -> CheckReport:
         return run_case_obj(self.case(case_id))
 
-    def run_all(self, tier: str | None = None, parallelism: int = 1) -> list[CheckReport]:
-        cases = self.list_cases(tier)
-        if parallelism <= 1 or len(cases) <= 1:
-            return [run_case_obj(c) for c in cases]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(run_case_obj, cases))
+    def run_all(self, tier: str | None = None) -> list[CheckReport]:
+        return [run_case_obj(c) for c in self.list_cases(tier)]
 
 
 def render_reports(reports, fmt: str = "text") -> str:

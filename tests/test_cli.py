@@ -89,12 +89,9 @@ def test_group_info(capsys):
     assert code == 0 and "order 168" in out
 
 
-def test_env_var_sets_default_parallelism(capsys, monkeypatch):
-    monkeypatch.setenv("CARTERLAB_THREADS", "3")
-    from carterlab.cli import _default_parallelism
-    assert _default_parallelism() == 3
-    monkeypatch.setenv("CARTERLAB_THREADS", "bogus")
-    assert _default_parallelism() == 1
+def test_check_run_has_no_parallelism_option(capsys):
+    code, _, _ = run_cli(capsys, "check", "run", "psl23-power", "-j", "2")
+    assert code == 2
     code, out, _ = run_cli(capsys, "check", "run", "psl23-power")
     assert code == 0 and "PASS" in out
 

@@ -38,6 +38,19 @@ def test_length_classes(t, n):
     assert len(system.norms()) == expected
 
 
+@pytest.mark.parametrize("t,n", all_supported())
+def test_simple_coords_rebuild_each_root(t, n):
+    system = root_system(t, n)
+    assert set(system.simple_coords) == set(system.roots)
+    for r in system.roots:
+        coords = system.simple_coords[r]
+        assert len(coords) == n
+        rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, system.simples))
+                        for k in range(system.dimension))
+        assert rebuilt == r
+        assert all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
+
+
 def test_c2_has_four_long_roots():
     C2 = root_system("C", 2)
     assert len(C2.roots) == 8

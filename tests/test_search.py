@@ -151,10 +151,13 @@ def test_class_structure_of_trivial_group():
 
 def test_class_sizes_sum_and_reps_canonical(corpus):
     for spec, G in corpus_upto(corpus, 2500).items():
+        elements = list(G.elements())
         classes = conjugacy_classes(G)
         assert sum(size for _, size in classes) == G.order(), spec
-        for rep, _ in classes:
+        for rep, size in classes:
             assert rep in G
+            cls = {rep.conjugate(g) for g in elements}    # by brute force
+            assert size == len(cls) and rep == min(cls), spec
 
 
 # ---------------------------------------------------------------- sym centralizer

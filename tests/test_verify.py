@@ -74,13 +74,11 @@ def test_text_rendering_marks_failures_distinctly():
     assert lines[0].startswith("PASS") and lines[1].startswith("FAIL!")
 
 
-def test_run_all_is_order_independent_and_parallel_safe():
+def test_run_all_matches_run_case():
     ids = ["psl23-power", "highest-root-C3", "torus-A1", "carter-sym3"]
-    seq = {r.id: r.status for cid in ids for r in [run_case(cid)]}
-    par = {r.id: r.status
-           for r in REGISTRY.run_all("quick", parallelism=4)
-           if r.id in ids}
-    assert seq == par
+    single = {r.id: r.status for cid in ids for r in [run_case(cid)]}
+    tier = {r.id: r.status for r in REGISTRY.run_all("quick") if r.id in ids}
+    assert single == tier
 
 
 @pytest.mark.slow

@@ -3,7 +3,11 @@ import itertools
 import pytest
 
 from carterlab.linear.classical import lie_order
+from carterlab.linear.groupspec import realize
+from carterlab.permgrp.bruteforce import brute_normalizer
+from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.search import conjugacy_classes
+from carterlab.rootsys.e6scan import scan_order3_self_normalizers
 from carterlab.rootsys.roots import SUPPORTED, root_system
 from carterlab.rootsys.subsystems import borel_de_siebenthal
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
@@ -189,3 +193,23 @@ def test_bds_subsystems_are_closed(subtests=None):
                 tot = tuple(a + b for a, b in zip(r1, r2))
                 if tot in all_roots:
                     assert tot in closed, (t, n, sub.label)
+
+
+@pytest.mark.parametrize("spec,classes,offenders", [
+    ("Alt(4)", 1, 1), ("Sym(4)", 1, 0), ("Sym(3)", 1, 0), ("Alt(5)", 1, 0),
+    ("SL(2,3)", 1, 0), ("PSL(2,7)", 1, 0), ("W(G2)", 1, 0), ("W(C2)", 0, 0)])
+def test_order3_scan_matches_brute_normalizers(spec, classes, offenders):
+    C = realize(spec).group
+    n_classes, found = scan_order3_self_normalizers(C)
+    assert (n_classes, len(found)) == (classes, offenders)
+    # every order-3 subgroup contributes |N_C(<x>)| / |C| to its class
+    normalizers = {}
+    for y in C.elements():
+        if y.order() == 3 and frozenset((y, y * y)) not in normalizers:
+            normalizers[frozenset((y, y * y))] = brute_normalizer(
+                C, PermGroup([y], C.degree)).order()
+    assert sum(normalizers.values()) == n_classes * C.order()
+    self_normalizing = [k for k, n in normalizers.items() if n == 3]
+    assert len(self_normalizing) * 3 == len(found) * C.order()
+    for x in found:
+        assert normalizers[frozenset((x, x * x))] == 3
