@@ -233,9 +233,16 @@ class PermGroup:
 
     def natural_orbits(self) -> list[list[int]]:
         """Orbits of the group on its domain (an invariant under conjugation)."""
-        from .search import orbits  # search imports this module
-        return [sorted(o) for o in orbits(range(self.degree), self.generators,
-                                          lambda p, s: s[p])]
+        from .search import orbit  # search imports this module
+        seen = [False] * self.degree
+        out = []
+        for p in range(self.degree):
+            if not seen[p]:
+                found = orbit([p], self.generators, lambda q, s: s[q])
+                for q in found:
+                    seen[q] = True
+                out.append(sorted(found))
+        return out
 
     def orbit_signature(self) -> tuple:
         return tuple(sorted(len(o) for o in self.natural_orbits()))

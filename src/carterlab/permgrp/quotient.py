@@ -10,6 +10,7 @@ faithful copy of G/N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .perm import Perm
 from .group import PermGroup
@@ -32,6 +33,11 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
         n.conjugate(g) in N for n in N.generators for g in G.generators)
 
 
+def _coset_key(n_elements, g: Perm) -> Perm:
+    """The label of the coset Ng: its least element."""
+    return min(n * g for n in n_elements)
+
+
 @dataclass(frozen=True)
 class QuotientProjection:
     """Maps elements/subgroups of G onto the coset realization of G/N."""
@@ -43,13 +49,11 @@ class QuotientProjection:
     _coset_index: dict    # label -> domain point
     _N_elements: tuple
 
-    def _coset_key(self, g: Perm) -> Perm:
-        return min(n * g for n in self._N_elements)
-
     def element(self, g: Perm) -> Perm:
         if g not in self.G:
             raise ValueError("element not in G")
-        return Perm(self._coset_index[self._coset_key(key * g)] for key in self._keys)
+        return Perm(self._coset_index[_coset_key(self._N_elements, key * g)]
+                    for key in self._keys)
 
     def subgroup(self, H: PermGroup) -> PermGroup:
         return PermGroup([self.element(h) for h in H.generators], len(self._keys))
@@ -67,10 +71,7 @@ def quotient_group(G: PermGroup, N: PermGroup,
     if index > index_cap:
         raise IndexCapExceeded(f"index {index} exceeds cap {index_cap}")
     n_elements = tuple(sorted(N.elements()))
-
-    def coset_key(g: Perm) -> Perm:
-        return min(n * g for n in n_elements)
-
+    coset_key = partial(_coset_key, n_elements)
     keys = orbit([coset_key(Perm.identity(G.degree))], G.generators,
                  lambda key, s: coset_key(key * s))
     assert len(keys) == index

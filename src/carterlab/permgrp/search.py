@@ -1,12 +1,22 @@
 """Normalizers, centralizers and conjugacy via orbit-stabilizer runs.
 
-Everything here rides the same mechanism: act by conjugation on a
-hashable object (an element, a tuple of elements, or the full element
-fingerprint of a subgroup), walk the orbit with transversal bookkeeping,
-and harvest stabilizer generators through Schreier's lemma.  Schreier
-generators are sifted into a growing subgroup and discarded when
-redundant, which keeps generating sets small; when the stabilizer's
-order is known in advance the harvest stops early.
+Everything here rides the same mechanism: act on a hashable object (an
+element by conjugation, the full element fingerprint of a subgroup, or
+a partition of the domain), walk the orbit with transversal
+bookkeeping, and harvest stabilizer generators through Schreier's
+lemma.  The whole orbit is walked first, so the stabilizer's order
+|G| / |orbit| is known before the harvest starts: Schreier generators
+are sifted into a growing subgroup, discarded when redundant, and the
+harvest stops as soon as that order is reached.
+
+Subgroup normalizers and subgroup conjugacy first refine by the orbit
+partition of H (its orbits on the domain, fixed points included).  Any
+element normalizing H permutes H's orbits, so N_G(H) lies in the
+partition stabilizer K, and the costly fingerprint walk, which
+conjugates every element of H at each step, runs inside K instead of G.
+For conjugacy, a partition walk first maps H1's orbits onto H2's; any
+conjugator then differs from that map by an element of H2's partition
+stabilizer.
 
 Orbits are walked breadth-first with generators in a fixed order, so
 every result (including returned conjugators) is deterministic.  Walks
@@ -33,14 +43,10 @@ CLASS_ENUMERATION_CAP = 1_000_000
 class _StabilizerBuilder:
     """Accumulates Schreier generators, skipping ones already generated."""
 
-    def __init__(self, degree: int, seed_gens=(), target_order: int | None = None):
+    def __init__(self, degree: int, seed_gens=()):
         self.degree = degree
         self.gens = [g for g in seed_gens if not g.is_identity()]
         self.group = PermGroup(self.gens, degree)
-        self.target = target_order
-
-    def done(self) -> bool:
-        return self.target is not None and self.group.order() >= self.target
 
     def add(self, g: Perm):
         if not g.is_identity() and g not in self.group:
@@ -48,46 +54,48 @@ class _StabilizerBuilder:
             self.group = PermGroup(self.gens, self.degree)
 
 
-def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(),
-                      target_order=None, stop_at=None, collect=True):
-    """Generic conjugation-orbit walk.
+def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None,
+                      collect=True):
+    """Generic orbit walk with transversal bookkeeping.
 
     ``act(point, g)`` applies generator g; returns ``(stabilizer,
     orbit_transversal, hit)`` where ``hit`` is the transversal element
     reaching ``stop_at`` (if given; the walk stops there).  With
     ``collect=False`` no stabilizer is accumulated (pure orbit search).
+
+    The whole orbit is walked first.  Schreier generators are then
+    harvested from the non-tree edges, in walk order, until the
+    stabilizer has order |G| / |orbit|.
     """
     gens = G.generators
-    ident = Perm.identity(G.degree)
-    transversal = {start: ident}
+    transversal = {start: Perm.identity(G.degree)}
     queue = [start]
-    builder = _StabilizerBuilder(G.degree, seed_gens, target_order) if collect else None
-    while queue:
-        next_queue = []
-        for point in queue:
-            u = transversal[point]
-            for s in gens:
-                image = act(point, s)
-                known = transversal.get(image)
-                if known is None:
-                    v = u * s
-                    if image == stop_at:
-                        return None, transversal, v
-                    transversal[image] = v
-                    next_queue.append(image)
-                elif collect and not builder.done():
-                    builder.add(u * s * known.inverse())
-        queue = next_queue
-    if collect and builder.target is not None and not builder.done():
-        # rare: deterministic Schreier order missed the target; rescan fully
-        for point, u in list(transversal.items()):
-            for s in gens:
-                builder.add(u * s * transversal[act(point, s)].inverse())
-                if builder.done():
-                    break
-            if builder.done():
-                break
-    return (builder.group if collect else None), transversal, None
+    # non-tree edges as (u, s, known): keeping the transversal element
+    # rather than the fresh image keeps no second copy of an orbit point
+    edges = []
+    for point in queue:     # the list grows while it is walked
+        u = transversal[point]
+        for s in gens:
+            image = act(point, s)
+            known = transversal.get(image)
+            if known is None:
+                v = u * s
+                if image == stop_at:
+                    return None, transversal, v
+                transversal[image] = v
+                queue.append(image)
+            elif collect:
+                edges.append((u, s, known))
+    if not collect:
+        return None, transversal, None
+    target = G.order() // len(transversal)
+    builder = _StabilizerBuilder(G.degree, seed_gens)
+    for u, s, known in edges:
+        if builder.group.order() >= target:
+            break
+        builder.add(u * s * known.inverse())
+    assert builder.group.order() == target
+    return builder.group, transversal, None
 
 
 def orbit(seeds, gens, act) -> list:
@@ -156,14 +164,33 @@ def _conj_fingerprint(fp: frozenset, g: Perm) -> frozenset:
     return frozenset(x.conjugate(g) for x in fp)
 
 
+def _orbit_partition(H: PermGroup) -> frozenset:
+    """H's orbits on the domain, fixed points included as singletons."""
+    return frozenset(frozenset(o) for o in H.natural_orbits())
+
+
+def _move_partition(part: frozenset, g: Perm) -> frozenset:
+    return frozenset(frozenset(g[p] for p in o) for o in part)
+
+
+def _partition_stabilizer(G: PermGroup, H: PermGroup) -> PermGroup:
+    """Stab_G of H's orbit partition; it contains N_G(H) and H itself."""
+    K, _, _ = _orbit_stabilizer(G, _orbit_partition(H), _move_partition,
+                                seed_gens=H.generators)
+    return K
+
+
 def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) by orbit-stabilizer on H's element fingerprint."""
+    """N_G(H): the fingerprint walk inside the stabilizer of H's orbits."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     if H.order() == G.order() or H.is_trivial():
         return G
     fp = _fingerprint(H)
-    stab, _, _ = _orbit_stabilizer(G, fp, _conj_fingerprint,
+    K = _partition_stabilizer(G, H)
+    if K.order() == H.order():
+        return K
+    stab, _, _ = _orbit_stabilizer(K, fp, _conj_fingerprint,
                                    seed_gens=H.generators)
     return stab
 
@@ -183,8 +210,10 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
     """A g in G with H1^g = H2, or None.
 
-    Prunes by order, natural-orbit signature and element-order multiset
-    before walking the fingerprint orbit; pruning never changes answers.
+    Prunes by order, natural-orbit signature and element-order multiset,
+    then maps H1's orbit partition onto H2's and walks the fingerprint
+    orbit inside the stabilizer of H2's partition; pruning never changes
+    answers.
     """
     for H in (H1, H2):
         if not H.is_subgroup_of(G):
@@ -198,9 +227,22 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
         return Perm.identity(G.degree)
     if sorted(x.order() for x in fp1) != sorted(x.order() for x in fp2):
         return None
-    _, _, hit = _orbit_stabilizer(G, fp1, _conj_fingerprint, stop_at=fp2,
+    # any conjugator maps part1 onto part2; after g does, the rest of
+    # the search lies in Stab_G(part2)
+    g = Perm.identity(G.degree)
+    part1, part2 = _orbit_partition(H1), _orbit_partition(H2)
+    if part1 != part2:
+        _, _, g = _orbit_stabilizer(G, part1, _move_partition,
+                                    stop_at=part2, collect=False)
+        if g is None:
+            return None
+        fp1 = _conj_fingerprint(fp1, g)
+        if fp1 == fp2:
+            return g
+    K2 = _partition_stabilizer(G, H2)
+    _, _, hit = _orbit_stabilizer(K2, fp1, _conj_fingerprint, stop_at=fp2,
                                   collect=False)
-    return hit
+    return None if hit is None else g * hit
 
 
 def conjugacy_classes(G: PermGroup):
@@ -223,9 +265,9 @@ def conjugacy_classes(G: PermGroup):
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,
                                          class_size: int) -> PermGroup:
-    """C_G(x) when |x^G| is already known; stops harvesting early."""
-    target = G.order() // class_size
-    stab, _, _ = _orbit_stabilizer(G, x, Perm.conjugate, target_order=target)
+    """C_G(x) when |x^G| is already known; the walk must confirm it."""
+    stab, transversal, _ = _orbit_stabilizer(G, x, Perm.conjugate)
+    assert len(transversal) == class_size
     return stab
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup
-from ..permgrp.search import orbits
+from ..permgrp.search import SearchCapExceeded, orbits
 from .roots import RootSystem, pairing
 
 F_CLASS_CAP = 51_840
@@ -181,7 +181,8 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
     if tau.system is not W.system and tau.system != W.system:
         raise ValueError("twist belongs to a different root system")
     if W.order() > F_CLASS_CAP:
-        raise ValueError(f"|W| = {W.order()} beyond the exhaustive cap {F_CLASS_CAP}")
+        raise SearchCapExceeded(
+            f"|W| = {W.order()} beyond the exhaustive cap {F_CLASS_CAP}")
     t = tau.root_perm
     t_inv = t.inverse()
     twisted_gens = [(s.inverse(), t_inv * s * t) for s in W.simple_reflections]

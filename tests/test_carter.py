@@ -129,3 +129,24 @@ def test_carter_of_direct_factor_projection():
     classes = carter_subgroups(G)
     assert classes.class_count == 1
     assert classes.representatives[0].order() == 16
+
+
+def test_flagship_like_search_conjugation_count(monkeypatch):
+    """A perf gate that does not depend on the machine: Perm.conjugate calls.
+
+    The bound is the count the search makes with the normalizer and
+    conjugacy walks refined by orbit partitions; it is deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,8), frob)").group
+    calls = [0]
+    conjugate = Perm.conjugate
+
+    def counting(self, g):
+        calls[0] += 1
+        return conjugate(self, g)
+
+    monkeypatch.setattr(Perm, "conjugate", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [6]
+    assert calls[0] <= 21_955

@@ -115,3 +115,10 @@ def test_identical_invocations_identical_output(capsys):
     _, info1, _ = run_cli(capsys, "group", "info", "Sp(4,3)", "--format", "json")
     _, info2, _ = run_cli(capsys, "group", "info", "Sp(4,3)", "--format", "json")
     assert info1 == info2
+
+
+def test_torus_beyond_class_cap_exits_3(capsys, monkeypatch):
+    from carterlab.rootsys import weyl
+    monkeypatch.setattr(weyl, "F_CLASS_CAP", 5)     # |W(A2)| = 6
+    code, _, err = run_cli(capsys, "torus", "A2", "--q", "3")
+    assert code == 3 and "cap" in err

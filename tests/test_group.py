@@ -114,3 +114,11 @@ def test_shared_group_is_safe_across_threads():
     with ThreadPoolExecutor(max_workers=8) as pool:
         orders = list(pool.map(work, range(8)))
     assert orders == [720] * 8
+
+
+def test_natural_orbits_least_point_first_and_sorted():
+    assert PermGroup.trivial(4161).natural_orbits() == [[p] for p in range(4161)]
+    H = PermGroup([Perm.from_cycles(9, [(7, 0, 3), (5, 2)]),
+                   Perm.from_cycles(9, [(3, 8)])], 9)
+    assert H.natural_orbits() == [[0, 3, 7, 8], [1], [2, 5], [4], [6]]
+    assert H.orbit_signature() == (1, 1, 1, 2, 4)

@@ -57,6 +57,62 @@ def test_normalizer_matches_brute_force_on_corpus(corpus):
             assert fast.same_group_as(slow), spec
 
 
+def _random_subgroups(corpus, seed, per_group):
+    """Seeded draws of proper subgroups <1 to 3 random elements>."""
+    rng = random.Random(seed)
+    for spec, G in corpus_upto(corpus, 2000).items():
+        drawn = 0
+        while drawn < per_group:
+            gens = [G.random_element(rng) for _ in range(rng.randint(1, 3))]
+            H = PermGroup(gens, G.degree)
+            if H.order() < G.order():
+                drawn += 1
+                yield spec, G, H, rng
+
+
+def test_normalizer_matches_brute_force_on_random_subgroups(corpus):
+    kinds = {"transitive": 0, "intransitive": 0, "fixed points": 0}
+    for spec, G, H, _ in _random_subgroups(corpus, 11, 4):
+        orbit_lengths = [len(o) for o in H.natural_orbits()]
+        kinds["transitive" if len(orbit_lengths) == 1 else "intransitive"] += 1
+        kinds["fixed points"] += 1 in orbit_lengths
+        fast = subgroup_normalizer(G, H)
+        slow = bf.brute_normalizer(G, H)
+        assert fast.same_group_as(slow), (spec, H.generators)
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_subgroup_conjugator_maps_onto_random_conjugate(corpus):
+    moved = 0
+    for spec, G, H, rng in _random_subgroups(corpus, 12, 6):
+        g = G.random_element(rng)
+        Hg = PermGroup([h.conjugate(g) for h in H.generators], G.degree)
+        moved += H.natural_orbits() != Hg.natural_orbits()
+        c = are_conjugate_subgroups(G, H, Hg)
+        assert c is not None and c in G, (spec, H.generators, g)
+        Hc = PermGroup([h.conjugate(c) for h in H.generators], G.degree)
+        assert Hc.same_group_as(Hg), (spec, H.generators, g)
+    assert moved >= 20
+
+
+def test_subgroup_conjugacy_matches_brute_on_equal_orders(corpus):
+    by_group = {}
+    for spec, G, H, _ in _random_subgroups(corpus, 13, 12):
+        by_group.setdefault(spec, (G, []))[1].append(H)
+    verdicts = {True: 0, False: 0}
+    for spec, (G, subgroups) in by_group.items():
+        for i, H1 in enumerate(subgroups):
+            for H2 in subgroups[i + 1:]:
+                if H1.order() != H2.order() or H1.same_group_as(H2):
+                    continue
+                fast = are_conjugate_subgroups(G, H1, H2)
+                slow = bf.brute_subgroup_conjugator(G, H1, H2)
+                assert (fast is None) == (slow is None), (spec, H1.generators,
+                                                          H2.generators)
+                verdicts[fast is None] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
 # ---------------------------------------------------------------- centralizer
 
 def test_centralizer_corpus_examples():
