@@ -7,8 +7,8 @@
     carter-lab torus <type> [--twist id|flip|triality] --q <n>
     carter-lab group info <group-spec>
 
-Exit codes: 0 all pass, 1 at least one fail, 2 usage or parse error,
-3 search cap exceeded.
+Exit codes: 0 all pass, 1 at least one fail, 2 usage, parse or file
+error, 3 a size cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
+from .errors import CapExceeded
 from .linear.groupspec import GroupSpecError, realize
-from .permgrp.carter import SearchCapError, carter_subgroups
-from .permgrp.search import SearchCapExceeded
+from .permgrp.carter import carter_subgroups
 from .rootsys.roots import omega_fixed_roots, root_system
 from .rootsys.subsystems import borel_de_siebenthal
 from .rootsys.weyl import f_conjugacy_classes, twist_by_name, weyl_group
@@ -104,11 +104,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_carter(args) -> int:
     G = realize(args.group_spec).group
-    try:
-        classes = carter_subgroups(G, cap=args.cap)
-    except (SearchCapError, SearchCapExceeded) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    classes = carter_subgroups(G, cap=args.cap)
     if args.format == "json":
         print(json.dumps({
             "group": args.group_spec,
@@ -223,10 +219,10 @@ def main(argv=None) -> int:
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SearchCapError, SearchCapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from ..errors import CapExceeded
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup
 from .classical import (ClassicalGroupSpec, classical_group, matrix_group_order,
@@ -26,7 +27,7 @@ from .matrix import Matrix
 DOMAIN_CAP = 10_000
 
 
-class DomainCapExceeded(RuntimeError):
+class DomainCapExceeded(CapExceeded):
     pass
 
 

@@ -4,15 +4,28 @@ These are the reference implementations the fast engine is tested
 against. They enumerate whole groups (or whole subgroup lattices), so
 they are only usable on small inputs; every function takes a hard cap
 and refuses to run past it rather than silently grinding.
+
+They use none of the engine's searches (normalizers, conjugacy tests,
+Sylow or Carter code).  Their answers come from ``Perm`` arithmetic,
+``closure`` and the element list ``G.elements()`` alone; a ``PermGroup``
+is built only to hand a result back.  So a bug in the engine cannot hide
+by also appearing in the oracle it is tested against.
+
+The subgroup lattice is walked upward from the trivial group.  Each
+subgroup H keeps the short generator list that built it, and is extended
+by x to ``closure(gens + [x])``.  Only one x per double coset H*y*H is
+tried: every element of a double coset generates the same group together
+with H, so the rest of it adds nothing.
 """
 
 from __future__ import annotations
 
+from ..errors import CapExceeded
 from .perm import Perm
 from .group import PermGroup
 
 
-class OracleCapExceeded(RuntimeError):
+class OracleCapExceeded(CapExceeded):
     pass
 
 
@@ -84,24 +97,51 @@ def brute_subgroup_conjugator(G: PermGroup, H1: PermGroup, H2: PermGroup,
 
 def all_subgroups(G: PermGroup, cap: int = 400):
     """Every subgroup of G as a frozenset of elements (G small)."""
+    return set(_subgroup_lattice(G, cap))
+
+
+def _subgroup_lattice(G: PermGroup, cap: int) -> dict:
+    """Every subgroup of G mapped to the short generator list that built it.
+
+    Walked upward one double coset at a time (see the module docstring).
+    """
     if G.order() > cap:
         raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
     elements = sorted(G.elements())
-    ident = Perm.identity(G.degree)
-    found = {frozenset([ident])}
-    frontier = [frozenset([ident])]
+    trivial = frozenset([Perm.identity(G.degree)])
+    lattice = {trivial: []}
+    frontier = [trivial]
     while frontier:
         new = []
         for sub in frontier:
+            gens = lattice[sub]
+            tried = set(sub)
             for x in elements:
-                if x in sub:
+                if x in tried:
                     continue
-                bigger = frozenset(closure(list(sub) + [x], G.degree))
-                if bigger not in found:
-                    found.add(bigger)
+                tried |= _double_coset(gens, x)
+                bigger = frozenset(closure(gens + [x], G.degree))
+                if bigger not in lattice:
+                    lattice[bigger] = gens + [x]
                     new.append(bigger)
         frontier = new
-    return found
+    return lattice
+
+
+def _double_coset(gens, x: Perm) -> set:
+    """<gens> * x * <gens>, walked by multiplying on both sides."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        new = []
+        for y in frontier:
+            for s in gens:
+                for z in (s * y, y * s):
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
+        frontier = new
+    return seen
 
 
 def brute_carter_classes(G: PermGroup, cap: int = 400):
@@ -109,23 +149,22 @@ def brute_carter_classes(G: PermGroup, cap: int = 400):
 
     Returns conjugacy-class representatives (each a PermGroup).
     """
-    subs = all_subgroups(G, cap)
+    lattice = _subgroup_lattice(G, cap)
     elements = list(G.elements())
     carter = []
-    for sub in subs:
-        H = PermGroup([g for g in sub if not g.is_identity()], G.degree)
+    for sub, gens in lattice.items():
         if not _brute_nilpotent(sub, G.degree):
             continue
-        norm = sum(1 for g in elements
-                   if all(h.conjugate(g) in sub for h in sub))
-        if norm == len(sub):
-            carter.append((sub, H))
+        # g normalizes sub iff it maps every generator into sub
+        if not any(g not in sub and all(h.conjugate(g) in sub for h in gens)
+                   for g in elements):
+            carter.append((sub, gens))
     reps = []
     classed = set()
-    for sub, H in sorted(carter, key=lambda t: sorted(t[0])):
+    for sub, gens in sorted(carter, key=lambda t: sorted(t[0])):
         if sub in classed:
             continue
-        reps.append(H)
+        reps.append(PermGroup(gens, G.degree))
         for g in elements:
             classed.add(frozenset(h.conjugate(g) for h in sub))
     return reps

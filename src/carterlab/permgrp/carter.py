@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..errors import CapExceeded
 from .group import PermGroup
 from .perm import Perm
 from .search import (are_conjugate_subgroups, conjugacy_classes, orbits,
@@ -30,7 +31,7 @@ FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
 
 
-class SearchCapError(RuntimeError):
+class SearchCapError(CapExceeded):
     """Raised when a full Carter search would exceed the configured cap."""
 
 

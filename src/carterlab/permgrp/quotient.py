@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+from ..errors import CapExceeded
 from .perm import Perm
 from .group import PermGroup
 from .search import orbit
@@ -21,7 +22,7 @@ class NotNormalError(ValueError):
     pass
 
 
-class IndexCapExceeded(RuntimeError):
+class IndexCapExceeded(CapExceeded):
     pass
 
 

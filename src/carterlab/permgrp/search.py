@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 
+from ..errors import CapExceeded
 from .perm import Perm
 from .group import PermGroup
 
 
-class SearchCapExceeded(RuntimeError):
+class SearchCapExceeded(CapExceeded):
     pass
 
 

@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
-from carterlab.permgrp.bruteforce import brute_carter_classes
+from conftest import CORPUS_SPECS
+from carterlab.permgrp import bruteforce
+from carterlab.permgrp.bruteforce import (all_subgroups, brute_carter_classes,
+                                          brute_subgroup_conjugator)
 from carterlab.permgrp.carter import (SearchCapError,
                                       carter_class_containing_sylow2,
                                       carter_subgroups, check_syl2_criterion,
@@ -8,7 +13,7 @@ from carterlab.permgrp.carter import (SearchCapError,
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import are_conjugate_subgroups
-from carterlab.permgrp.sylow import p_part, sylow_subgroup
+from carterlab.permgrp.sylow import commutator_subgroup, p_part, sylow_subgroup
 
 
 SMALL_EXPECTED = {
@@ -46,6 +51,76 @@ def test_search_matches_oracle_on_matrix_groups(groups):
         assert found.class_count == len(oracle), spec
         assert sorted(r.order() for r in found.representatives) == \
             sorted(r.order() for r in oracle), spec
+
+
+# published subgroup counts; for PSU(3,2) and PGU(3,2), the counts of an
+# exhaustive walk that extends every subgroup by every element
+SUBGROUP_COUNTS = {
+    "Sym(3)": 6, "Alt(4)": 10, "SL(2,3)": 15, "Sym(4)": 30, "GL(2,3)": 55,
+    "Alt(5)": 59, "Sym(5)": 156, "PSL(2,7)": 179, "PSU(3,2)": 68,
+    "PGU(3,2)": 182,
+}
+
+
+def test_subgroup_lattice_oracle_matches_published_counts(corpus):
+    for spec, count in SUBGROUP_COUNTS.items():
+        assert len(all_subgroups(corpus[spec])) == count, spec
+
+
+def test_subgroup_lattice_oracle_closure_count(corpus, monkeypatch):
+    """A perf gate that does not depend on the machine: closure calls.
+
+    Extending each subgroup by one element per double coset makes 2,392
+    calls on PSL(2,7); one call per element outside it would make 28,573.
+    """
+    calls = [0]
+    closure = bruteforce.closure
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(bruteforce, "closure", counting)
+    assert len(all_subgroups(corpus["PSL(2,7)"])) == 179
+    assert calls[0] <= 3_000
+
+
+def _is_solvable(H):
+    derived = H
+    while derived.order() > 1:
+        below = commutator_subgroup(H, derived, derived)
+        if below.order() == derived.order():
+            return False
+        derived = below
+    return True
+
+
+def test_search_matches_oracle_on_random_subgroups(corpus):
+    """Seeded draws H = <2 or 3 random elements> of every corpus group."""
+    rng = random.Random(21)
+    draws = non_solvable = 0
+    by_count = {0: 0, 1: 0}
+    for spec in CORPUS_SPECS:
+        G = corpus[spec]
+        for _ in range(4):
+            gens = [G.random_element(rng) for _ in range(rng.randint(2, 3))]
+            H = PermGroup(gens, G.degree)
+            if not 1 < H.order() <= 200:
+                continue
+            found = carter_subgroups(H)
+            oracle = brute_carter_classes(H)
+            assert found.class_count == len(oracle) <= 1, (spec, gens)
+            assert sorted(r.order() for r in found.representatives) == \
+                sorted(r.order() for r in oracle), (spec, gens)
+            for rep in found.representatives:
+                matches = [K for K in oracle
+                           if brute_subgroup_conjugator(H, rep, K) is not None]
+                assert len(matches) == 1, (spec, gens)
+            draws += 1
+            non_solvable += not _is_solvable(H)
+            by_count[len(oracle)] += 1
+    assert draws >= 40 and non_solvable >= 5, (draws, non_solvable)
+    assert by_count[0] >= 5 and by_count[1] >= 20, by_count
 
 
 def test_representatives_are_carter_witnesses_and_distinct(groups):

@@ -122,3 +122,23 @@ def test_torus_beyond_class_cap_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(weyl, "F_CLASS_CAP", 5)     # |W(A2)| = 6
     code, _, err = run_cli(capsys, "torus", "A2", "--q", "3")
     assert code == 3 and "cap" in err
+
+
+def test_every_cap_exits_3(capsys, monkeypatch):
+    from carterlab.errors import CapExceeded
+    from carterlab.linear import projective
+    from carterlab.permgrp import bruteforce, carter, quotient, search
+    for exc in (carter.SearchCapError, search.SearchCapExceeded,
+                projective.DomainCapExceeded, quotient.IndexCapExceeded,
+                bruteforce.OracleCapExceeded):
+        assert issubclass(exc, CapExceeded), exc
+    monkeypatch.setattr(projective, "DOMAIN_CAP", 5)     # PSL(2,7) acts on 8 points
+    code, _, err = run_cli(capsys, "group", "info", "PSL(2,7)")
+    assert code == 3 and "cap" in err
+
+
+def test_missing_group_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "group", "info", f"File({missing})")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
