@@ -32,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carter-lab",
         description="desk-scale checks for Carter-subgroup criteria")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the seeded internals (results are "
-                             "seed-independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run registered claim checks")
@@ -202,9 +199,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.seed:
-        from .permgrp.sylow import set_default_seed
-        set_default_seed(args.seed)
     try:
         if args.command == "check":
             return _cmd_check(args)

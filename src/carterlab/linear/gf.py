@@ -86,9 +86,6 @@ class FiniteField:
             raise ZeroDivisionError("inverting 0 in a finite field")
         return self.exp[(-self.log[a]) % (self.size - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e <= 0:
@@ -99,13 +96,6 @@ class FiniteField:
     def frobenius(self, a: int) -> int:
         """x -> x^p, the generating field automorphism."""
         return self.pow(a, self.p)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.size - 1
-        import math
-        return n // math.gcd(n, self.log[a] if a != 1 else 0) if a != 1 else 1
 
     def elements(self):
         return range(self.size)

@@ -5,8 +5,6 @@ from .group import PermGroup, DegreeMismatchError
 from .search import (
     are_conjugate_elements,
     are_conjugate_subgroups,
-    canonical_of_cycle_type,
-    centralizer_in_sym,
     conjugacy_classes,
     element_centralizer,
     subgroup_centralizer,
@@ -35,8 +33,8 @@ from .io import group_from_json, group_to_json, load_group, save_group
 __all__ = [
     "Perm", "parse_perm", "PermGroup", "DegreeMismatchError",
     "are_conjugate_elements", "are_conjugate_subgroups",
-    "canonical_of_cycle_type", "centralizer_in_sym", "conjugacy_classes",
-    "element_centralizer", "subgroup_centralizer", "subgroup_normalizer",
+    "conjugacy_classes", "element_centralizer", "subgroup_centralizer",
+    "subgroup_normalizer",
     "SearchCapExceeded", "is_nilpotent", "lower_central_series",
     "normal_closure", "p_part", "prime_factors", "sylow_subgroup",
     "quotient_group", "is_normal", "NotNormalError", "QuotientProjection",

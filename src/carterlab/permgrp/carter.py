@@ -117,7 +117,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
     carter_reps = []
     while queue:
         H = queue.popleft()
-        N = G if H.is_trivial() else subgroup_normalizer(G, H)
+        N = subgroup_normalizer(G, H)
         if N.order() == H.order():
             carter_reps.append(H)     # nilpotent and self-normalizing
             continue
@@ -141,13 +141,13 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
     return result
 
 
-def check_syl2_criterion(G: PermGroup, seed: int | None = None) -> bool:
+def check_syl2_criterion(G: PermGroup) -> bool:
     """Whether N_G(S) = S * C_G(S) for S a Sylow 2-subgroup of G.
 
     S*C is a subgroup (C centralizes S), so the test compares orders of
     N_G(S) and <S, C_G(S)>.
     """
-    S = sylow_subgroup(G, 2, seed=seed)
+    S = sylow_subgroup(G, 2)
     if S.is_trivial():
         # odd-order G: N(1) = G = 1*C(1); the criterion is vacuously true
         return True

@@ -190,9 +190,6 @@ class PermGroup:
     def __contains__(self, g) -> bool:
         return self.sift(g).is_identity()
 
-    def contains(self, g) -> bool:
-        return g in self
-
     def is_subgroup_of(self, other: PermGroup) -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
 

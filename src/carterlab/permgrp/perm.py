@@ -99,9 +99,6 @@ class Perm(tuple):
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if not self.is_identity() else 1
 
-    def moved_points(self):
-        return [i for i, j in enumerate(self) if i != j]
-
     def __str__(self) -> str:
         cycs = self.cycles()
         if not cycs:

@@ -7,7 +7,9 @@ bookkeeping, and harvest stabilizer generators through Schreier's
 lemma.  The whole orbit is walked first, so the stabilizer's order
 |G| / |orbit| is known before the harvest starts: Schreier generators
 are sifted into a growing subgroup, discarded when redundant, and the
-harvest stops as soon as that order is reached.
+harvest stops as soon as that order is reached.  Each job needs one
+walk mode: normalizers and centralizers harvest a stabilizer, while
+conjugacy tests search for a target point and keep no edges.
 
 Subgroup normalizers and subgroup conjugacy first refine by the orbit
 partition of H (its orbits on the domain, fixed points included).  Any
@@ -26,8 +28,6 @@ that need no transversal (orbit partitions, closures) use ``orbit`` and
 
 from __future__ import annotations
 
-import math
-
 from ..errors import CapExceeded
 from .perm import Perm
 from .group import PermGroup
@@ -41,34 +41,23 @@ SUBGROUP_FINGERPRINT_CAP = 10_000
 CLASS_ENUMERATION_CAP = 1_000_000
 
 
-class _StabilizerBuilder:
-    """Accumulates Schreier generators, skipping ones already generated."""
-
-    def __init__(self, degree: int, seed_gens=()):
-        self.degree = degree
-        self.gens = [g for g in seed_gens if not g.is_identity()]
-        self.group = PermGroup(self.gens, degree)
-
-    def add(self, g: Perm):
-        if not g.is_identity() and g not in self.group:
-            self.gens.append(g)
-            self.group = PermGroup(self.gens, self.degree)
-
-
-def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None,
-                      collect=True):
+def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None):
     """Generic orbit walk with transversal bookkeeping.
 
     ``act(point, g)`` applies generator g; returns ``(stabilizer,
-    orbit_transversal, hit)`` where ``hit`` is the transversal element
-    reaching ``stop_at`` (if given; the walk stops there).  With
-    ``collect=False`` no stabilizer is accumulated (pure orbit search).
+    orbit_transversal, hit)``.
 
-    The whole orbit is walked first.  Schreier generators are then
-    harvested from the non-tree edges, in walk order, until the
-    stabilizer has order |G| / |orbit|.
+    Given ``stop_at``, the walk is a pure orbit search: it keeps no
+    edges, harvests no stabilizer (returned as None), and stops at
+    ``stop_at`` with ``hit`` the transversal element reaching it (None
+    if the orbit does not contain it).
+
+    Otherwise the whole orbit is walked first.  Schreier generators are
+    then harvested from the non-tree edges, in walk order, onto
+    ``seed_gens`` until the stabilizer has order |G| / |orbit|.
     """
     gens = G.generators
+    collect = stop_at is None
     transversal = {start: Perm.identity(G.degree)}
     queue = [start]
     # non-tree edges as (u, s, known): keeping the transversal element
@@ -90,13 +79,15 @@ def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None,
     if not collect:
         return None, transversal, None
     target = G.order() // len(transversal)
-    builder = _StabilizerBuilder(G.degree, seed_gens)
+    stab = PermGroup(seed_gens, G.degree)
     for u, s, known in edges:
-        if builder.group.order() >= target:
+        if stab.order() >= target:
             break
-        builder.add(u * s * known.inverse())
-    assert builder.group.order() == target
-    return builder.group, transversal, None
+        g = u * s * known.inverse()
+        if not g.is_identity() and g not in stab:
+            stab = PermGroup(stab.generators + (g,), G.degree)
+    assert stab.order() == target
+    return stab, transversal, None
 
 
 def orbit(seeds, gens, act) -> list:
@@ -204,7 +195,7 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
         return Perm.identity(G.degree)
     if x.cycle_type() != y.cycle_type():
         return None
-    _, _, hit = _orbit_stabilizer(G, x, Perm.conjugate, stop_at=y, collect=False)
+    _, _, hit = _orbit_stabilizer(G, x, Perm.conjugate, stop_at=y)
     return hit
 
 
@@ -234,15 +225,14 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
     part1, part2 = _orbit_partition(H1), _orbit_partition(H2)
     if part1 != part2:
         _, _, g = _orbit_stabilizer(G, part1, _move_partition,
-                                    stop_at=part2, collect=False)
+                                    stop_at=part2)
         if g is None:
             return None
         fp1 = _conj_fingerprint(fp1, g)
         if fp1 == fp2:
             return g
     K2 = _partition_stabilizer(G, H2)
-    _, _, hit = _orbit_stabilizer(K2, fp1, _conj_fingerprint, stop_at=fp2,
-                                  collect=False)
+    _, _, hit = _orbit_stabilizer(K2, fp1, _conj_fingerprint, stop_at=fp2)
     return None if hit is None else g * hit
 
 
@@ -270,54 +260,3 @@ def element_centralizer_with_known_index(G: PermGroup, x: Perm,
     stab, transversal, _ = _orbit_stabilizer(G, x, Perm.conjugate)
     assert len(transversal) == class_size
     return stab
-
-
-def centralizer_in_sym(n: int, cycle_type) -> tuple[list[Perm], int]:
-    """Generators and order of C_Sym(n)(y) for the canonical y of a type.
-
-    The canonical y lays its cycles out consecutively from point 0,
-    shortest first, with fixed points at the end.  The centralizer is a
-    direct product over distinct lengths l of Z_l wreath Sym(m_l), with
-    the fixed points contributing Sym(m_0):  order = prod l^m_l * m_l!.
-    """
-    lengths = sorted(cycle_type)
-    if any(l < 1 for l in lengths):
-        raise ValueError("cycle lengths must be positive")
-    if sum(lengths) > n:
-        raise ValueError("cycle lengths exceed the degree")
-    blocks = {}
-    start = 0
-    for l in lengths:
-        blocks.setdefault(l, []).append(list(range(start, start + l)))
-        start += l
-    fixed = list(range(start, n))
-    if fixed:
-        blocks.setdefault(1, []).extend([[p] for p in fixed])
-
-    gens = []
-    order = 1
-    for l, blist in sorted(blocks.items()):
-        m = len(blist)
-        order *= l ** m * math.factorial(m)
-        if l > 1:
-            gens.append(Perm.from_cycles(n, [tuple(blist[0])]))
-        if m >= 2:
-            gens.append(Perm.from_cycles(
-                n, [tuple(pair) for pair in zip(blist[0], blist[1])]))
-        if m >= 3:
-            cycles = [tuple(blist[j][i] for j in range(m)) for i in range(l)]
-            gens.append(Perm.from_cycles(n, cycles))
-    return gens, order
-
-
-def canonical_of_cycle_type(n: int, cycle_type) -> Perm:
-    """The canonical permutation whose centralizer centralizer_in_sym builds."""
-    lengths = sorted(cycle_type)
-    if sum(lengths) > n:
-        raise ValueError("cycle lengths exceed the degree")
-    cycles = []
-    start = 0
-    for l in lengths:
-        cycles.append(tuple(range(start, start + l)))
-        start += l
-    return Perm.from_cycles(n, cycles)

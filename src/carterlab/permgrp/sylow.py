@@ -2,10 +2,10 @@
 
 The ascent uses the standard fact that a p-subgroup H with |H| < |G|_p
 has p dividing |N_G(H) : H|, so some p-element of the normalizer grows
-H.  Candidate elements are drawn uniformly from the normalizer with a
-seeded generator (results are seed-independent: any run returns a
-Sylow p-subgroup; only which one may differ), with a deterministic
-full-enumeration fallback should sampling ever stall.
+H.  Candidate elements are drawn uniformly from the normalizer by a
+generator with a fixed seed, so every call returns the same Sylow
+subgroup; a deterministic full-enumeration fallback takes over should
+sampling ever stall.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from .perm import Perm
 from .group import PermGroup
 from .search import subgroup_normalizer
 
-DEFAULT_SEED = 0
+_SEED = 0
 _SAMPLE_TRIES = 4096
 _ELEMENT_COUNT_CAP = 60_000
-
-
-def set_default_seed(seed: int):
-    """Override the module default used by seeded internals (CLI --seed)."""
-    global DEFAULT_SEED
-    DEFAULT_SEED = seed
 
 
 def is_prime(n: int) -> bool:
@@ -59,18 +53,17 @@ def _p_element_part(g: Perm, p: int) -> Perm:
     return g ** (o // p_part(o, p))
 
 
-def sylow_subgroup(G: PermGroup, p: int, seed: int | None = None) -> PermGroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup of G (trivial if p does not divide |G|)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order(), p)
     if target == 1:
         return PermGroup.trivial(G.degree)
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    rng = random.Random(_SEED)
     H = PermGroup.trivial(G.degree)
     while H.order() < target:
-        N = G if H.is_trivial() else subgroup_normalizer(G, H)
-        grown = _grow_by_p_element(N, H, p, rng)
+        grown = _grow_by_p_element(subgroup_normalizer(G, H), H, p, rng)
         if grown is None:
             raise AssertionError("p-ascent stalled below the Sylow order")
         H = grown
@@ -91,23 +84,14 @@ def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int, rng):
     return None
 
 
-def is_nilpotent(H: PermGroup, cross_validate: bool = False) -> bool:
+def is_nilpotent(H: PermGroup) -> bool:
     """Whether H is nilpotent.
 
-    Default route: H is nilpotent iff every Sylow subgroup is normal,
-    tested by counting p-elements (the count equals |H|_p exactly when
-    the Sylow p-subgroup is unique).  With ``cross_validate`` the lower
-    central series is computed as well and the two answers must agree.
+    H is nilpotent iff every Sylow subgroup is normal, tested by counting
+    p-elements (the count equals |H|_p exactly when the Sylow p-subgroup
+    is unique).  Above ``_ELEMENT_COUNT_CAP`` elements the Sylow
+    subgroups are built and tested for normality instead.
     """
-    by_counts = _nilpotent_by_element_counts(H)
-    if cross_validate:
-        by_lcs = lower_central_series(H)[-1].order() == 1
-        if by_counts != by_lcs:
-            raise AssertionError("nilpotency characterizations disagree")
-    return by_counts
-
-
-def _nilpotent_by_element_counts(H: PermGroup) -> bool:
     n = H.order()
     if n == 1:
         return True

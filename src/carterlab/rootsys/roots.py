@@ -100,9 +100,6 @@ class RootSystem:
     def norms(self) -> set[int]:
         return {_dot(r, r) for r in self.roots}
 
-    def is_long(self, r: tuple) -> bool:
-        return _dot(r, r) == max(self.norms())
-
     def long_roots(self) -> list[tuple]:
         m = max(self.norms())
         return [r for r in self.roots if _dot(r, r) == m]

@@ -208,29 +208,12 @@ def order_polynomial(W: WeylGroupRep, w: Perm, tau: Twist) -> tuple:
     rank = len(Mw)
     M = [[sum(Mt[i][k] * Mw[k][j] for k in range(rank)) for j in range(rank)]
          for i in range(rank)]
-    # det(qM - I) = det(M) * charpoly_{M^-1}(q); M^-1 is the matrix of (tau w)^-1
-    w_inv = w.inverse()
-    Mw_inv = W.lattice_matrix(w_inv)
-    Mt_inv = tau_inverse_matrix(tau)
-    Minv = [[sum(Mw_inv[i][k] * Mt_inv[k][j] for k in range(rank)) for j in range(rank)]
-            for i in range(rank)]
-    det_m = _int_det(M)
-    coeffs = _charpoly(Minv)        # monic, low degree first
-    poly = tuple(det_m * c for c in coeffs)
+    # det(qM - I) = (-1)^r q^r charpoly_M(1/q): the characteristic
+    # coefficients reversed, up to a sign the normalization fixes
+    poly = _charpoly(M)[::-1]
     if poly[-1] < 0:
         poly = tuple(-c for c in poly)
     return poly
-
-
-def tau_inverse_matrix(tau: Twist) -> list[list[int]]:
-    rank = tau.system.rank
-    inv_map = [0] * rank
-    for i, j in enumerate(tau.simple_map):
-        inv_map[j] = i
-    m = [[0] * rank for _ in range(rank)]
-    for i, j in enumerate(inv_map):
-        m[j][i] = 1
-    return m
 
 
 def torus_order(W: WeylGroupRep, w: Perm, tau: Twist, q: int) -> int:
@@ -239,28 +222,6 @@ def torus_order(W: WeylGroupRep, w: Perm, tau: Twist, q: int) -> int:
         raise ValueError("q must be at least 2")
     poly = order_polynomial(W, w, tau)
     return abs(sum(c * q ** i for i, c in enumerate(poly)))
-
-
-def _int_det(m) -> int:
-    from fractions import Fraction
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def _charpoly(m) -> tuple:

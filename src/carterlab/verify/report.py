@@ -12,9 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from ..permgrp.carter import SearchCapError
-from ..permgrp.search import SearchCapExceeded
-from ..linear.projective import DomainCapExceeded
+from ..errors import CapExceeded
 
 
 class SkipCase(Exception):
@@ -25,7 +23,7 @@ class SkipCase(Exception):
         self.reason = reason
 
 
-_SKIP_EXCEPTIONS = (SkipCase, SearchCapError, SearchCapExceeded, DomainCapExceeded)
+_SKIP_EXCEPTIONS = (SkipCase, CapExceeded)
 
 
 @dataclass(frozen=True)

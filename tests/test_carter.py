@@ -95,32 +95,52 @@ def _is_solvable(H):
     return True
 
 
+def _times_cyclic(G, m):
+    """G x C_m, with C_m cycling m extra points."""
+    n = G.degree
+    gens = [Perm(g + tuple(range(n, n + m))) for g in G.generators]
+    gens.append(Perm(tuple(range(n)) + tuple(n + (i + 1) % m for i in range(m))))
+    return PermGroup(gens, n + m)
+
+
 def test_search_matches_oracle_on_random_subgroups(corpus):
-    """Seeded draws H = <2 or 3 random elements> of every corpus group."""
+    """Seeded draws H = <2 or 3 random elements> of every corpus group,
+    and H = G x C_m for the corpus groups G of order <= 24.
+
+    The Carter subgroups of a direct product are the products of Carter
+    subgroups, so the products reach Carter orders above 16, which the
+    random draws almost never do.
+    """
     rng = random.Random(21)
-    draws = non_solvable = 0
-    by_count = {0: 0, 1: 0}
+    candidates = []
     for spec in CORPUS_SPECS:
         G = corpus[spec]
         for _ in range(4):
             gens = [G.random_element(rng) for _ in range(rng.randint(2, 3))]
-            H = PermGroup(gens, G.degree)
-            if not 1 < H.order() <= 200:
-                continue
-            found = carter_subgroups(H)
-            oracle = brute_carter_classes(H)
-            assert found.class_count == len(oracle) <= 1, (spec, gens)
-            assert sorted(r.order() for r in found.representatives) == \
-                sorted(r.order() for r in oracle), (spec, gens)
-            for rep in found.representatives:
-                matches = [K for K in oracle
-                           if brute_subgroup_conjugator(H, rep, K) is not None]
-                assert len(matches) == 1, (spec, gens)
-            draws += 1
-            non_solvable += not _is_solvable(H)
-            by_count[len(oracle)] += 1
+            candidates.append((spec, PermGroup(gens, G.degree)))
+        if G.order() <= 24:
+            candidates += [(f"{spec} x C{m}", _times_cyclic(G, m)) for m in (3, 5)]
+    draws = non_solvable = large = 0
+    by_count = {0: 0, 1: 0}
+    for label, H in candidates:
+        if not 1 < H.order() <= 200:
+            continue
+        found = carter_subgroups(H)
+        oracle = brute_carter_classes(H)
+        assert found.class_count == len(oracle) <= 1, (label, H.generators)
+        assert sorted(r.order() for r in found.representatives) == \
+            sorted(r.order() for r in oracle), (label, H.generators)
+        for rep in found.representatives:
+            matches = [K for K in oracle
+                       if brute_subgroup_conjugator(H, rep, K) is not None]
+            assert len(matches) == 1, (label, H.generators)
+        draws += 1
+        non_solvable += not _is_solvable(H)
+        by_count[len(oracle)] += 1
+        large += any(K.order() > 16 for K in oracle)
     assert draws >= 40 and non_solvable >= 5, (draws, non_solvable)
     assert by_count[0] >= 5 and by_count[1] >= 20, by_count
+    assert large >= 10, large
 
 
 def test_representatives_are_carter_witnesses_and_distinct(groups):
@@ -225,3 +245,23 @@ def test_flagship_like_search_conjugation_count(monkeypatch):
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
     assert calls[0] <= 21_955
+
+
+def test_partition_walk_count(monkeypatch):
+    """A perf gate that does not depend on the machine: partition moves.
+
+    The bound is the count of ``_move_partition`` calls the orbit-partition
+    walks of the normalizers and conjugacy tests make; it is deterministic.
+    """
+    from carterlab.permgrp import search
+    calls = [0]
+    move = search._move_partition
+
+    def counting(part, g):
+        calls[0] += 1
+        return move(part, g)
+
+    monkeypatch.setattr(search, "_move_partition", counting)
+    result = carter_subgroups(PermGroup.symmetric(6))
+    assert [R.order() for R in result.representatives] == [16]
+    assert calls[0] <= 2_187

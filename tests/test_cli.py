@@ -96,16 +96,11 @@ def test_check_run_has_no_parallelism_option(capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_seed_flag_accepted_and_results_seed_independent(capsys):
-    _, out1, _ = run_cli(capsys, "--seed", "1", "carter", "Sym(4)",
-                         "--format", "json")
-    _, out2, _ = run_cli(capsys, "--seed", "99", "carter", "Sym(4)",
-                         "--format", "json")
-    a, b = json.loads(out1), json.loads(out2)
-    assert a["classes"] == b["classes"] == 1
-    assert a["representative_orders"] == b["representative_orders"]
-    from carterlab.permgrp.sylow import set_default_seed
-    set_default_seed(0)
+def test_seed_flag_is_a_usage_error(capsys):
+    code, _, _ = run_cli(capsys, "--seed", "1", "carter", "Sym(4)")
+    assert code == 2
+    code, out, _ = run_cli(capsys, "carter", "Sym(4)", "--format", "json")
+    assert code == 0 and json.loads(out)["classes"] == 1
 
 
 def test_identical_invocations_identical_output(capsys):

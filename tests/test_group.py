@@ -28,7 +28,7 @@ def test_degree_mismatch_rejected():
         PermGroup([Perm.identity(3), Perm.from_cycles(4, [(0, 1)])], 3)
     G = PermGroup.symmetric(3)
     with pytest.raises(DegreeMismatchError):
-        G.contains(Perm.identity(4))
+        Perm.identity(4) in G
 
 
 def test_order_equals_brute_closure_on_random_groups():

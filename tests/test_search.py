@@ -6,9 +6,7 @@ from carterlab.permgrp import bruteforce as bf
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import (are_conjugate_elements,
-                                      are_conjugate_subgroups,
-                                      canonical_of_cycle_type,
-                                      centralizer_in_sym, conjugacy_classes,
+                                      are_conjugate_subgroups, conjugacy_classes,
                                       element_centralizer, subgroup_centralizer,
                                       subgroup_normalizer)
 
@@ -128,6 +126,14 @@ def test_centralizer_matches_brute_force_on_corpus(corpus):
             fast = element_centralizer(G, g)
             slow = bf.brute_centralizer(G, g)
             assert fast.same_group_as(slow), spec
+    # y in Sym(n) with cycles laid out from point 0; |C(y)| = prod l^m_l m_l!
+    for n, ctype, order in [(4, (2, 2), 8), (5, (3,), 6), (6, (2, 3), 6),
+                            (6, (6,), 6), (7, (2, 2, 3), 24), (6, (2, 2), 16)]:
+        starts = [sum(ctype[:i]) for i in range(len(ctype))]
+        y = cyc(n, *(tuple(range(s, s + l)) for s, l in zip(starts, ctype)))
+        fast = subgroup_centralizer(S(n), y)
+        assert fast.order() == order, (n, ctype)
+        assert fast.same_group_as(bf.brute_centralizer(S(n), y)), (n, ctype)
 
 
 def test_subgroup_centralizer_intersects_element_centralizers():
@@ -214,32 +220,3 @@ def test_class_sizes_sum_and_reps_canonical(corpus):
             assert rep in G
             cls = {rep.conjugate(g) for g in elements}    # by brute force
             assert size == len(cls) and rep == min(cls), spec
-
-
-# ---------------------------------------------------------------- sym centralizer
-
-def test_centralizer_in_sym_formula_cases():
-    gens, order = centralizer_in_sym(4, [2, 2])
-    assert order == 8 and PermGroup(gens, 4).order() == 8
-    gens, order = centralizer_in_sym(5, [3])
-    assert order == 6 and PermGroup(gens, 5).order() == 6
-    gens, order = centralizer_in_sym(4, [])
-    assert order == 24 and PermGroup(gens, 4).order() == 24
-
-
-def test_centralizer_in_sym_agrees_with_backtrack():
-    for n, ctype in [(4, [2, 2]), (5, [3]), (6, [2, 3]), (6, [6]),
-                     (7, [2, 2, 3]), (6, [2, 2])]:
-        gens, order = centralizer_in_sym(n, ctype)
-        built = PermGroup(gens, n)
-        assert built.order() == order
-        y = canonical_of_cycle_type(n, ctype)
-        searched = subgroup_centralizer(PermGroup.symmetric(n), y)
-        assert built.same_group_as(searched), (n, ctype)
-
-
-def test_centralizer_in_sym_rejects_bad_types():
-    with pytest.raises(ValueError):
-        centralizer_in_sym(4, [3, 3])
-    with pytest.raises(ValueError):
-        centralizer_in_sym(4, [0])

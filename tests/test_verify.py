@@ -58,6 +58,18 @@ def test_explicit_skips_carry_reasons():
         assert r.status == "skip" and r.reason, cid
 
 
+def test_every_cap_overrun_is_a_skip(monkeypatch):
+    from carterlab.permgrp.quotient import IndexCapExceeded
+    from carterlab.verify import registry
+
+    def over_cap(G, N):
+        raise IndexCapExceeded("index 7 exceeds cap 6")
+
+    monkeypatch.setattr(registry, "quotient_group", over_cap)
+    r = run_case("carter-quotient-suite")
+    assert (r.status, r.reason) == ("skip", "index 7 exceeds cap 6")
+
+
 def test_report_json_round_trip():
     reports = [run_case("psl23-power"), run_case("carter-semilinear-2g2")]
     text = render_reports(reports, "json")

@@ -11,8 +11,8 @@ from carterlab.rootsys.e6scan import scan_order3_self_normalizers
 from carterlab.rootsys.roots import SUPPORTED, root_system
 from carterlab.rootsys.subsystems import borel_de_siebenthal
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
-                                    identity_twist, torus_order,
-                                    triality_twist, weyl_group)
+                                    identity_twist, order_polynomial,
+                                    torus_order, triality_twist, weyl_group)
 
 WEYL_ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("C", 2): 8,
                ("C", 3): 48, ("B", 3): 48, ("D", 4): 192, ("G", 2): 12,
@@ -154,6 +154,37 @@ def test_torus_order_polynomials_normalized_positive():
     for c in f_conjugacy_classes(W, identity_twist(system)):
         assert c.order_poly[-1] > 0
         assert c.order_at(3) > 0
+
+
+def leibniz_det(m) -> int:
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("t,n,twist", [("A", 2, identity_twist), ("C", 2, identity_twist),
+                                       ("G", 2, identity_twist), ("D", 4, triality_twist)])
+def test_order_polynomial_is_det_q_m_minus_i(t, n, twist):
+    # det(qM - I) has degree r and leading coefficient det(M) = +-1, so
+    # agreeing at r + 1 integers q pins down the normalized polynomial
+    system = root_system(t, n)
+    W = weyl_group(system)
+    tau = twist(system)
+    Mt = tau.matrix()
+    for w in W.perm_group.elements():
+        Mw = W.lattice_matrix(w)
+        M = [[sum(Mt[i][k] * Mw[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        sign = leibniz_det(M)
+        poly = order_polynomial(W, w, tau)
+        for q in range(n + 1):
+            qm_minus_i = [[q * M[i][j] - (i == j) for j in range(n)] for i in range(n)]
+            assert sum(c * q ** e for e, c in enumerate(poly)) == sign * leibniz_det(qm_minus_i)
 
 
 def test_triality_twist_properties():
