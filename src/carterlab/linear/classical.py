@@ -198,8 +198,7 @@ def su_generators(q: int) -> list[Matrix]:
     """SU(3, q): upper and lower unipotent root elements plus a torus element."""
     p, k = _split_prime_power(q)
     F = field_make(p, 2 * k)
-    uppers = [m for m in _su_unipotent_all(q) if not m.is_scalar() or m.rows[0][0] == 1]
-    uppers = [m for m in uppers if m != Matrix.identity(F, 3)]
+    uppers = [m for m in _su_unipotent_all(q) if m != Matrix.identity(F, 3)]
     J = Matrix(F, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     lowers = [J * m * J for m in uppers]
     alpha = F.generator

@@ -88,11 +88,6 @@ class Matrix:
                     m[r] = [F.sub(a, F.mul(factor, b)) for a, b in zip(m[r], m[col])]
         return Matrix(F, [row[n:] for row in m])
 
-    def is_scalar(self) -> bool:
-        c = self.rows[0][0]
-        return all(self.rows[i][j] == (c if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
-
     def apply_to_row_vector(self, v: tuple) -> tuple:
         """v * M for a row vector v."""
         F = self.field

@@ -25,7 +25,7 @@ from .group import PermGroup
 from .perm import Perm
 from .search import (are_conjugate_subgroups, conjugacy_classes, orbits,
                      subgroup_centralizer, subgroup_normalizer)
-from .sylow import is_nilpotent, is_prime, p_part, sylow_subgroup
+from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
@@ -88,20 +88,11 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup):
     N-class.  The candidate set is N-invariant, since N normalizes H.
     """
     def prime_step(y) -> bool:
-        if y in H:
-            return False
-        step = next(m for m in sorted(_divisors(y.order()))
-                    if m > 1 and (y ** m) in H)
-        return is_prime(step)
+        # yH has prime order iff yH != H and y^p lies in H for a prime p | o(y)
+        return y not in H and any((y ** p) in H for p in prime_factors(y.order()))
 
     candidates = (y for y in N.elements() if prime_step(y))
     return [o[0] for o in orbits(candidates, N.generators, Perm.conjugate)]
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
 
 
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:

@@ -2,22 +2,17 @@
 
 The ascent uses the standard fact that a p-subgroup H with |H| < |G|_p
 has p dividing |N_G(H) : H|, so some p-element of the normalizer grows
-H.  Candidate elements are drawn uniformly from the normalizer by a
-generator with a fixed seed, so every call returns the same Sylow
-subgroup; a deterministic full-enumeration fallback takes over should
-sampling ever stall.
+H.  Each step scans the normalizer's elements in their fixed enumeration
+order and adjoins the p-part of the first element whose p-part lies
+outside H, so every call returns the same Sylow subgroup.
 """
 
 from __future__ import annotations
-
-import random
 
 from .perm import Perm
 from .group import PermGroup
 from .search import subgroup_normalizer
 
-_SEED = 0
-_SAMPLE_TRIES = 4096
 _ELEMENT_COUNT_CAP = 60_000
 
 
@@ -60,10 +55,9 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     target = p_part(G.order(), p)
     if target == 1:
         return PermGroup.trivial(G.degree)
-    rng = random.Random(_SEED)
     H = PermGroup.trivial(G.degree)
     while H.order() < target:
-        grown = _grow_by_p_element(subgroup_normalizer(G, H), H, p, rng)
+        grown = _grow_by_p_element(subgroup_normalizer(G, H), H, p)
         if grown is None:
             raise AssertionError("p-ascent stalled below the Sylow order")
         H = grown
@@ -71,13 +65,9 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     return H
 
 
-def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int, rng):
-    """Some <H, z> with z a p-element of N outside H, or None if p | |N:H| fails."""
-    for _ in range(_SAMPLE_TRIES):
-        z = _p_element_part(N.random_element(rng), p)
-        if not z.is_identity() and z not in H:
-            return PermGroup(H.generators + (z,), N.degree)
-    for y in N.elements():  # deterministic fallback
+def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int):
+    """<H, z> for the first y in N whose p-part z lies outside H, or None."""
+    for y in N.elements():
         z = _p_element_part(y, p)
         if not z.is_identity() and z not in H:
             return PermGroup(H.generators + (z,), N.degree)

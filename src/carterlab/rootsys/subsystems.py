@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..permgrp.search import orbit
-from .roots import RootSystem, pairing, reflection_closure
+from .roots import RootSystem, _dot, pairing, reflection_closure
 from .weyl import WeylGroupRep
 
 
@@ -42,10 +42,6 @@ def _components(basis) -> list[list[tuple]]:
                     queue.append(j)
         comps.append([basis[i] for i in sorted(comp)])
     return comps
-
-
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _subsystem_roots(system: RootSystem, basis) -> frozenset:

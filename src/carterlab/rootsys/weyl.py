@@ -77,9 +77,6 @@ class Twist:
             m[j][i] = 1
         return m
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.simple_map))
-
 
 def _twist_from_simple_map(system: RootSystem, label: str, mapping) -> Twist:
     mapping = tuple(mapping)

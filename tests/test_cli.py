@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from carterlab.cli import main
 
 
@@ -47,6 +49,31 @@ def test_carter_command(capsys):
     code, out, _ = run_cli(capsys, "carter", "Sym(4)", "--format", "json")
     payload = json.loads(out)
     assert payload["classes"] == 1 and payload["representative_orders"] == [8]
+
+
+# The representative generators are part of the report, so their exact
+# text is pinned here.
+CARTER_TEXT = {
+    "Sym(4)": """\
+Sym(4): order 24, 1 Carter class(es)
+  order 8: <(0 1)(2 3), (2 3), (0 2)(1 3)>
+""",
+    "PSU(3,2)": """\
+PSU(3,2): order 72, 1 Carter class(es)
+  order 8: <(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)(17 18)(19 20), \
+(1 2)(3 4)(5 11 6 12)(7 9 8 10)(13 17 14 18)(15 19 16 20), \
+(1 3)(2 4)(5 19 6 20)(7 17 8 18)(9 13 10 14)(11 15 12 16)>
+""",
+    "PGammaL(2,8)": """\
+PGammaL(2,8): order 1512, 1 Carter class(es)
+  order 6: <(1 2)(3 4)(5 6)(7 8), (3 5 7)(4 6 8)>
+""",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CARTER_TEXT))
+def test_carter_text_report_is_pinned(capsys, spec):
+    assert run_cli(capsys, "carter", spec) == (0, CARTER_TEXT[spec], "")
 
 
 def test_carter_cap_exit_code(capsys):

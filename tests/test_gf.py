@@ -73,6 +73,50 @@ def test_modulus_is_deterministic():
     assert field_make(3, 3).modulus == FiniteField(3, 3).modulus
 
 
+# The canonical moduli, [c0, ..., c_{k-1}, 1], of every GF(q) with q = p^k,
+# k >= 2 and q <= 256.  Every projective domain and permutation image
+# depends on them, so a change here changes reports.
+MODULI = {
+    (2, 2): [1, 1, 1],
+    (2, 3): [1, 1, 0, 1],
+    (2, 4): [1, 1, 0, 0, 1],
+    (2, 5): [1, 0, 1, 0, 0, 1],
+    (2, 6): [1, 1, 0, 0, 0, 0, 1],
+    (2, 7): [1, 1, 0, 0, 0, 0, 0, 1],
+    (2, 8): [1, 0, 1, 1, 1, 0, 0, 0, 1],
+    (3, 2): [2, 1, 1],
+    (3, 3): [1, 2, 0, 1],
+    (3, 4): [2, 1, 0, 0, 1],
+    (3, 5): [1, 2, 0, 0, 0, 1],
+    (5, 2): [2, 1, 1],
+    (5, 3): [2, 3, 0, 1],
+    (7, 2): [3, 1, 1],
+    (11, 2): [7, 1, 1],
+    (13, 2): [2, 1, 1],
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(MODULI))
+def test_modulus_pinned(p, k):
+    F = FiniteField(p, k)
+    assert F.modulus == MODULI[p, k]
+    assert F.generator == p  # the code of x
+
+
+def test_prime_field_modulus_is_x_minus_largest_primitive_root():
+    def order(a, p):
+        o, cur = 1, a
+        while cur != 1:
+            cur, o = cur * a % p, o + 1
+        return o
+
+    for p in (n for n in range(2, 101) if all(n % d for d in range(2, n))):
+        g = max(a for a in range(1, p) if order(a, p) == p - 1)
+        F = FiniteField(p)
+        assert F.modulus == [p - g, 1], p
+        assert F.generator == g, p
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         FiniteField(4, 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from carterlab.permgrp import sylow
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.sylow import (is_nilpotent, lower_central_series,
@@ -39,7 +40,7 @@ def test_sylow_rejects_composite_p():
         sylow_subgroup(PermGroup.symmetric(4), 4)
 
 
-def test_sylow_deterministic_for_fixed_seed():
+def test_sylow_subgroup_is_deterministic():
     G = PermGroup.symmetric(6)
     assert sylow_subgroup(G, 2).generators == sylow_subgroup(G, 2).generators
 
@@ -63,6 +64,15 @@ def test_nilpotency_basics():
 def test_nilpotency_characterizations_agree_on_corpus(corpus):
     for spec, G in corpus_upto(corpus, 2000).items():
         assert is_nilpotent(G) == nilpotent_by_lower_central_series(G), spec
+
+
+def test_normal_sylow_path_agrees_on_corpus_and_sylow2(corpus, monkeypatch):
+    # groups above the element-count cap are tested by normal Sylow subgroups
+    groups = list(corpus.values()) + [sylow_subgroup(G, 2) for G in corpus.values()]
+    monkeypatch.setattr(sylow, "_ELEMENT_COUNT_CAP", 0)
+    verdicts = [is_nilpotent(G) for G in groups]
+    assert verdicts == [nilpotent_by_lower_central_series(G) for G in groups]
+    assert verdicts.count(True) == 28  # W(C2) and the 27 Sylow 2-subgroups
 
 
 def test_lower_central_series_of_dihedral8():
