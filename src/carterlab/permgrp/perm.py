@@ -4,12 +4,20 @@ A permutation is a tuple ``p`` with ``p[i]`` the image of point ``i``.
 Products compose left-to-right: ``(a * b)[i] == b[a[i]]`` (apply ``a``
 first), so groups act on the right and ``x.conjugate(g)`` is ``g⁻¹xg``.
 All algorithms in this package rely on that convention.
+
+A product gathers ``other``'s images at ``self``'s through
+``operator.itemgetter``, which runs the loop in C.  At degree 0 or 1
+``itemgetter`` cannot return a tuple (with one index it returns a
+scalar, with none it raises), so products of degree below 2 take a
+separate branch: there the only permutation is the identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from operator import itemgetter
 
 
 class Perm(tuple):
@@ -25,7 +33,7 @@ class Perm(tuple):
 
     @classmethod
     def identity(cls, degree: int) -> Perm:
-        return tuple.__new__(cls, range(degree))
+        return _identity(degree)
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> Perm:
@@ -45,10 +53,12 @@ class Perm(tuple):
         return len(self)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
+        return self == _identity(len(self))
 
     def __mul__(self, other):  # apply self, then other
-        return tuple.__new__(Perm, map(other.__getitem__, self))
+        if len(self) < 2:
+            return self
+        return tuple.__new__(Perm, itemgetter(*self)(other))
 
     def inverse(self) -> Perm:
         inv = [0] * len(self)
@@ -72,8 +82,8 @@ class Perm(tuple):
     def conjugate(self, g) -> Perm:
         """Return g⁻¹ * self * g."""
         out = [0] * len(self)
-        for i, gi in enumerate(g):
-            out[gi] = g[self[i]]
+        for gi, xi in zip(g, self):
+            out[gi] = g[xi]
         return tuple.__new__(Perm, out)
 
     def cycles(self):
@@ -107,6 +117,11 @@ class Perm(tuple):
 
     def __repr__(self) -> str:
         return f"Perm[{self.degree}]{self}"
+
+
+@functools.cache
+def _identity(degree: int) -> Perm:
+    return tuple.__new__(Perm, range(degree))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

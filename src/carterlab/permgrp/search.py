@@ -7,9 +7,14 @@ bookkeeping, and harvest stabilizer generators through Schreier's
 lemma.  The whole orbit is walked first, so the stabilizer's order
 |G| / |orbit| is known before the harvest starts: Schreier generators
 are sifted into a growing subgroup, discarded when redundant, and the
-harvest stops as soon as that order is reached.  Each job needs one
-walk mode: normalizers and centralizers harvest a stabilizer, while
-conjugacy tests search for a target point and keep no edges.
+harvest stops as soon as that order is reached.  When the stabilizer's
+order is known in advance (a centralizer of an element whose class size
+is known), each point's edges are harvested as soon as the point is
+expanded, and the walk itself stops when that order is reached; the
+Schreier generators are tried in the same order either way, so the
+stabilizer's generators are the same.  Each job needs one walk mode:
+normalizers and centralizers harvest a stabilizer, while conjugacy
+tests search for a target point and keep no edges.
 
 Subgroup normalizers and subgroup conjugacy first refine by the orbit
 partition of H (its orbits on the domain, fixed points included).  Any
@@ -41,7 +46,8 @@ SUBGROUP_FINGERPRINT_CAP = 10_000
 CLASS_ENUMERATION_CAP = 1_000_000
 
 
-def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None):
+def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None,
+                      _order=None):
     """Generic orbit walk with transversal bookkeeping.
 
     ``act(point, g)`` applies generator g; returns ``(stabilizer,
@@ -52,9 +58,13 @@ def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None):
     ``stop_at`` with ``hit`` the transversal element reaching it (None
     if the orbit does not contain it).
 
-    Otherwise the whole orbit is walked first.  Schreier generators are
-    then harvested from the non-tree edges, in walk order, onto
-    ``seed_gens`` until the stabilizer has order |G| / |orbit|.
+    Otherwise Schreier generators are harvested from the non-tree
+    edges, in walk order, onto ``seed_gens`` until the stabilizer has
+    order |G| / |orbit|.  Without ``_order`` the whole orbit is walked
+    first.  Given ``_order``, the stabilizer's order, each point's
+    edges are harvested once the point is expanded and the walk stops
+    when the stabilizer reaches ``_order``; the transversal then covers
+    only the points walked.
     """
     gens = G.generators
     collect = stop_at is None
@@ -63,6 +73,7 @@ def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None):
     # non-tree edges as (u, s, known): keeping the transversal element
     # rather than the fresh image keeps no second copy of an orbit point
     edges = []
+    stab = None if _order is None else PermGroup(seed_gens, G.degree)
     for point in queue:     # the list grows while it is walked
         u = transversal[point]
         for s in gens:
@@ -76,18 +87,35 @@ def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None):
                 queue.append(image)
             elif collect:
                 edges.append((u, s, known))
+        if _order is not None:
+            stab = _harvest(stab, edges, _order)
+            edges.clear()
+            if stab.order() == _order:
+                break
     if not collect:
         return None, transversal, None
-    target = G.order() // len(transversal)
-    stab = PermGroup(seed_gens, G.degree)
+    if stab is None:
+        # a full walk builds the chain only now: built before the walk, it
+        # fragments the heap, and the quick tier peaks 1 MB higher
+        stab = PermGroup(seed_gens, G.degree)
+    target = G.order() // len(transversal) if _order is None else _order
+    stab = _harvest(stab, edges, target)
+    # a walk that ran to the end holds the whole stabilizer, of order
+    # |G| / |orbit|: given _order, this checks the orbit's length
+    assert stab.order() == target
+    return stab, transversal, None
+
+
+def _harvest(stab: PermGroup, edges, target: int) -> PermGroup:
+    """Sift the Schreier generators of ``edges`` into ``stab``, in order,
+    until it has order ``target``."""
     for u, s, known in edges:
         if stab.order() >= target:
             break
         g = u * s * known.inverse()
         if not g.is_identity() and g not in stab:
-            stab = PermGroup(stab.generators + (g,), G.degree)
-    assert stab.order() == target
-    return stab, transversal, None
+            stab = PermGroup(stab.generators + (g,), stab.degree)
+    return stab
 
 
 def orbit(seeds, gens, act) -> list:
@@ -256,7 +284,18 @@ def conjugacy_classes(G: PermGroup):
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,
                                          class_size: int) -> PermGroup:
-    """C_G(x) when |x^G| is already known; the walk must confirm it."""
-    stab, transversal, _ = _orbit_stabilizer(G, x, Perm.conjugate)
-    assert len(transversal) == class_size
+    """C_G(x) when ``class_size`` is |x^G|, as ``conjugacy_classes`` gives it.
+
+    Precondition: ``class_size`` must be |x^G| (``conjugacy_classes``
+    asserts that its class sizes sum to |G|).  The centralizer's order
+    |G| / class_size is then known, so the walk stops as soon as the
+    harvested stabilizer reaches it, and returns the same generators as
+    ``element_centralizer``.  A class size too large gives a proper
+    subgroup of C_G(x) unnoticed; one too small fails an assertion when
+    the walk runs to the end of the class without reaching the order.
+    """
+    if class_size < 1 or G.order() % class_size:
+        raise ValueError(f"class size {class_size} does not divide |G| = {G.order()}")
+    stab, _, _ = _orbit_stabilizer(G, x, Perm.conjugate,
+                                   _order=G.order() // class_size)
     return stab

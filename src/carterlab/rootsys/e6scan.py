@@ -42,9 +42,16 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
     def canonical(y: Perm) -> Perm:     # one generator per subgroup <y>
         return min(y, y * y)
 
-    subgroups = (canonical(y) for y in C.elements() if y.order() == 3)
+    def order3_subgroups():
+        # cubing beats y.order(), which builds every cycle of y
+        one = C.identity()
+        for y in C.elements():
+            sq = y * y
+            if sq * y == one and y != one:
+                yield min(y, sq)
+
     n_classes, offenders = 0, []
-    for found in orbits(subgroups, C.generators,
+    for found in orbits(order3_subgroups(), C.generators,
                         lambda x, s: canonical(x.conjugate(s))):
         n_classes += 1
         if 3 * len(found) == C.order():     # |N_C(<x>)| = 3

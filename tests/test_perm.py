@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm, parse_perm
+from carterlab.permgrp.quotient import quotient_group
 
 
 def test_identity_and_validation():
@@ -28,7 +32,6 @@ def test_product_applies_left_then_right():
 
 
 def test_associativity_and_inverse():
-    import random
     rng = random.Random(0)
     for _ in range(50):
         n = rng.randrange(2, 9)
@@ -54,6 +57,43 @@ def test_conjugate_is_right_conjugation():
     assert x.conjugate(g) == g.inverse() * x * g
     # conjugation preserves cycle type
     assert x.conjugate(g).cycle_type() == x.cycle_type()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 28, 72, 200])
+def test_kernel_matches_index_formulas(n):
+    rng = random.Random(n)
+    e = Perm.identity(n)
+    assert e.is_identity() and e * e == e and e.inverse() == e
+    for _ in range(20):
+        a, b, x, g = (Perm(rng.sample(range(n), n)) for _ in range(4))
+        ab, xg = a * b, x.conjugate(g)
+        assert type(ab) is Perm and type(xg) is Perm
+        assert all(ab[i] == b[a[i]] for i in range(n))
+        assert all(xg[g[i]] == g[x[i]] for i in range(n))
+        assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+        assert a * e == a == e * a
+        assert a.is_identity() == (a == tuple(range(n)))
+        acc = e
+        for k in range(7):
+            assert a ** k == acc and a ** -k == acc.inverse()
+            acc = acc * a
+    if n >= 2:
+        assert not Perm.from_cycles(n, [(n - 2, n - 1)]).is_identity()
+
+
+def test_products_of_degree_below_two():
+    for n in (0, 1):
+        e = Perm.identity(n)
+        assert e * e == e and type(e * e) is Perm
+        assert e.conjugate(e) == e and e ** 5 == e and e.order() == 1
+    # G/G acts on its one coset: a group of degree 1
+    G = PermGroup.symmetric(4)
+    Q, proj = quotient_group(G, G)
+    assert Q.degree == 1 and Q.order() == 1 and list(Q.elements()) == [(0,)]
+    images = [proj(g) for g in G.generators]
+    assert all(x == (0,) for x in images)
+    assert images[0] * images[1] == (0,)
+    assert proj.subgroup(G).order() == 1
 
 
 def test_parse_perm_roundtrip():

@@ -7,8 +7,11 @@ from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import (are_conjugate_elements,
                                       are_conjugate_subgroups, conjugacy_classes,
-                                      element_centralizer, subgroup_centralizer,
-                                      subgroup_normalizer)
+                                      element_centralizer,
+                                      element_centralizer_with_known_index,
+                                      subgroup_centralizer, subgroup_normalizer)
+from carterlab.rootsys.roots import root_system
+from carterlab.rootsys.weyl import weyl_group
 
 from conftest import corpus_upto
 
@@ -141,6 +144,27 @@ def test_subgroup_centralizer_intersects_element_centralizers():
     H = PermGroup([cyc(5, (0, 1)), cyc(5, (2, 3))], 5)
     C = subgroup_centralizer(G, H)
     assert C.same_group_as(bf.brute_centralizer(G, list(H.generators)))
+
+
+def test_known_index_centralizer_matches_full_walk(corpus):
+    groups = dict(corpus_upto(corpus, 2000))
+    for t, n in (("F", 4), ("E", 6)):
+        groups[f"W({t}{n})"] = weyl_group(root_system(t, n)).perm_group
+    for spec, G in groups.items():
+        for rep, size in conjugacy_classes(G):
+            C = element_centralizer_with_known_index(G, rep, size)
+            assert C.generators == element_centralizer(G, rep).generators, spec
+            assert C.order() * size == G.order(), spec
+
+
+def test_known_index_centralizer_rejects_bad_class_sizes():
+    G, x = S(4), cyc(4, (0, 1))         # |x^G| = 6
+    for size in (0, 5, 7):
+        with pytest.raises(ValueError):
+            element_centralizer_with_known_index(G, x, size)
+    # too small: the walk ends before the harvest reaches |G| / 3 = 8
+    with pytest.raises(AssertionError):
+        element_centralizer_with_known_index(G, x, 3)
 
 
 # ---------------------------------------------------------------- conjugacy

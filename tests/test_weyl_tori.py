@@ -6,8 +6,10 @@ from carterlab.linear.classical import lie_order
 from carterlab.linear.groupspec import realize
 from carterlab.permgrp.bruteforce import brute_normalizer
 from carterlab.permgrp.group import PermGroup
+from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import conjugacy_classes
-from carterlab.rootsys.e6scan import scan_order3_self_normalizers
+from carterlab.rootsys.e6scan import (e6_centralizer_scan,
+                                      scan_order3_self_normalizers)
 from carterlab.rootsys.roots import SUPPORTED, root_system
 from carterlab.rootsys.subsystems import borel_de_siebenthal
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
@@ -244,3 +246,25 @@ def test_order3_scan_matches_brute_normalizers(spec, classes, offenders):
     assert len(self_normalizing) * 3 == len(found) * C.order()
     for x in found:
         assert normalizers[frozenset((x, x * x))] == 3
+
+
+def test_e6_scan_conjugation_count(monkeypatch):
+    """A perf gate that does not depend on the machine: Perm.conjugate calls.
+
+    The bound is the count the scan makes when each known-index
+    centralizer stops its walk at |W| / |x^W|; it is deterministic.  A
+    walk that covers every class again makes 625,340.
+    """
+    calls = [0]
+    conjugate = Perm.conjugate
+
+    def counting(self, g):
+        calls[0] += 1
+        return conjugate(self, g)
+
+    monkeypatch.setattr(Perm, "conjugate", counting)
+    results = e6_centralizer_scan()
+    assert [r.order3_subgroup_classes for r in results] == [
+        3, 2, 3, 5, 5, 1, 7, 1, 1, 1, 4, 3, 3, 3, 3, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
+    assert all(r.passed for r in results)
+    assert calls[0] <= 368_456
