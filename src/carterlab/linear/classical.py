@@ -29,6 +29,8 @@ class ClassicalGroupSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unsupported family {self.family}")
+        if self.n < 1:
+            raise ValueError("dimension must be at least 1")
         if self.family == "Sp" and self.n % 2:
             raise ValueError("Sp needs even dimension")
         if self.family in ("SU", "GU") and self.n != 3:

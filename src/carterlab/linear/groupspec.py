@@ -17,7 +17,7 @@ Grammar (case-sensitive names, whitespace ignored):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..permgrp.group import PermGroup
 from ..permgrp.io import load_group
@@ -36,7 +36,6 @@ class RealizedGroup:
     group: PermGroup
     action: ProjectiveAction | None = None   # set for matrix realizations
     inner: PermGroup | None = None           # the unextended group, for Ext/PGammaL
-    auto: object = None                       # the extending permutation
 
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z]+)\s*\((.*)\)\s*$", re.S)
@@ -89,7 +88,6 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
         n, q = _int_arg(args[0], name), _int_arg(args[1], name)
         projective = name.startswith("P")
         family = name[1:] if projective else name
-        family = {"SL": "SL", "GL": "GL", "Sp": "Sp", "SU": "SU", "GU": "GU"}[family]
         try:
             cspec = ClassicalGroupSpec(family, n, q)
             action = (projective_rep(cspec, include_hyperplanes=need_hyperplanes)
@@ -102,11 +100,9 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
         if len(args) != 2:
             raise GroupSpecError("PGammaL(n,q) takes two arguments")
         n, q = _int_arg(args[0], name), _int_arg(args[1], name)
-        inner = realize(f"PGL({n},{q})", need_hyperplanes=need_hyperplanes)
-        frob = frobenius_perm(inner.action)
-        G = extend_by_autos(inner.group, [frob])
-        return RealizedGroup(f"PGammaL({n},{q})", G, action=inner.action,
-                             inner=inner.group, auto=frob)
+        return replace(
+            realize(f"Ext(PGL({n},{q}), frob)", need_hyperplanes=need_hyperplanes),
+            label=f"PGammaL({n},{q})")
 
     if name == "Ext":
         if len(args) != 2:
@@ -126,7 +122,7 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             auto = frobenius_perm(inner.action) ** j
         G = extend_by_autos(inner.group, [auto])
         return RealizedGroup(f"Ext({inner.label}, {mode})", G,
-                             action=inner.action, inner=inner.group, auto=auto)
+                             action=inner.action, inner=inner.group)
 
     if name == "W":
         text = _only(args, "W").replace(" ", "")

@@ -4,7 +4,9 @@ Starting from the fundamental basis, each pass may either drop a node
 or extend one irreducible component by its lowest root before dropping
 a node of the extension.  Every root subsystem arises this way.
 Subsystems are deduplicated by Weyl-orbit of their root sets (not by
-type label, which cannot tell a long A1 from a short one).
+type label, which cannot tell a long A1 from a short one).  Each class's
+orbit is walked once and remembered, so a candidate met before costs one
+set lookup.  Component types are read from root counts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..permgrp.search import orbit
-from .roots import RootSystem, _dot, pairing, reflection_closure
-from .weyl import WeylGroupRep
+from .roots import RootSystem, _dot, reflection_closure
+from .weyl import weyl_group
 
 
 @dataclass(frozen=True)
@@ -56,75 +58,28 @@ def _highest_in_component(comp_basis) -> tuple:
 
 
 def classify_component(system: RootSystem, comp_basis) -> str:
-    """Type label of an irreducible component, from bonds and lengths.
+    """Type label of an irreducible component, from its root counts.
 
-    Rank-2 double-bond components are reported as C2 (the B2 = C2
-    coincidence).  A trailing "~" marks components made of short roots
-    of a two-length parent system.
+    A3 = D3 is reported as A3 and B2 = C2 as C2.  A trailing "~" marks
+    components whose longest root is shorter than the parent system's.
     """
     rank = len(comp_basis)
-    norms = [_dot(a, a) for a in comp_basis]
-    bonds = {}
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            strength = pairing(comp_basis[i], comp_basis[j]) * \
-                pairing(comp_basis[j], comp_basis[i])
-            if strength:
-                bonds[(i, j)] = strength
-    label = _shape_label(rank, bonds, norms)
-    parent_two_lengths = len(system.norms()) == 2
-    if parent_two_lengths and max(norms) < max(system.norms()):
+    norms = [_dot(r, r) for r in reflection_closure(comp_basis)]
+    longest = max(norms)
+    short = sum(n < longest for n in norms)
+    if not short:
+        kind = ("A" if len(norms) == rank * (rank + 1)
+                else "D" if len(norms) == 2 * rank * (rank - 1) else "E")
+    elif rank == 2 and len(norms) == 12:
+        kind = "G"
+    elif rank == 4 and 2 * short == len(norms):
+        kind = "F"
+    else:
+        kind = "B" if rank > 2 and short == 2 * rank else "C"
+    label = f"{kind}{rank}"
+    if longest < max(system.norms()):
         label += "~"
     return label
-
-
-def _shape_label(rank, bonds, norms) -> str:
-    if rank == 1:
-        return "A1"
-    strengths = sorted(bonds.values())
-    if 3 in strengths:
-        return "G2"
-    if 2 in strengths:
-        if rank == 2:
-            return "C2"
-        long_count = sum(1 for n in norms if n == max(norms))
-        if rank == 4 and long_count == 2:
-            return "F4"
-        return f"C{rank}" if long_count == 1 else f"B{rank}"
-    # simply laced: tell path / D / E apart by node degrees
-    degree = {i: 0 for i in range(rank)}
-    for (i, j) in bonds:
-        degree[i] += 1
-        degree[j] += 1
-    max_deg = max(degree.values())
-    if max_deg <= 1 and rank == 2:
-        return "A2" if bonds else "A1+A1"
-    if max_deg == 2 or rank == 2:
-        if len(bonds) == rank - 1 and max_deg <= 2:
-            return f"A{rank}"
-    if max_deg == 3:
-        center = next(i for i, d in degree.items() if d == 3)
-        # branch lengths from the degree-3 node
-        adj = {i: [] for i in degree}
-        for (i, j) in bonds:
-            adj[i].append(j)
-            adj[j].append(i)
-        lengths = []
-        for start in adj[center]:
-            ln, prev, cur = 1, center, start
-            while True:
-                nxts = [k for k in adj[cur] if k != prev]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-                ln += 1
-            lengths.append(ln)
-        lengths.sort()
-        if lengths[:2] == [1, 1]:
-            return f"D{rank}"
-        if lengths[0] == 1 and lengths[1] == 2:
-            return f"E{rank}"
-    return f"A{rank}"  # path graph
 
 
 def subsystem_label(system: RootSystem, basis) -> str:
@@ -133,25 +88,29 @@ def subsystem_label(system: RootSystem, basis) -> str:
     return "+".join(labels) if labels else "empty"
 
 
-def _canonical_key(W: WeylGroupRep, root_ids: frozenset) -> tuple:
-    """Least sorted index tuple over the Weyl orbit of the root set."""
-    return min(orbit([tuple(sorted(root_ids))], W.simple_reflections,
-                     lambda ids, s: tuple(sorted(s[i] for i in ids))))
+def borel_de_siebenthal(system: RootSystem) -> list[Subsystem]:
+    """All nonempty root subsystems up to Weyl conjugacy.
 
-
-def borel_de_siebenthal(system: RootSystem, W: WeylGroupRep | None = None) -> list[Subsystem]:
-    """All nonempty root subsystems up to Weyl conjugacy."""
-    if W is None:
-        from .weyl import weyl_group
-        W = weyl_group(system)
+    Root-id sets are sorted index bytes (|Phi| <= 240), which compare
+    like index tuples; each class is keyed by the least set in its orbit.
+    """
+    reflections = weyl_group(system).simple_reflections
     index = system.index
+    seen = set()        # every root-id set met, with its whole Weyl orbit
+    classes = {}        # least orbit member -> first basis found
 
-    def key_of(basis):
-        ids = frozenset(index[r] for r in _subsystem_roots(system, basis))
-        return _canonical_key(W, ids)
+    def is_new(basis) -> bool:
+        ids = bytes(sorted(index[r] for r in _subsystem_roots(system, basis)))
+        if ids in seen:
+            return False
+        found = orbit([ids], reflections,
+                      lambda ids, s: bytes(sorted(s[i] for i in ids)))
+        seen.update(found)
+        classes[min(found)] = basis
+        return True
 
     start = tuple(system.simples)
-    seen_keys = {key_of(start): start}
+    is_new(start)
     queue = [start]
     while queue:
         basis = queue.pop()
@@ -164,17 +123,11 @@ def borel_de_siebenthal(system: RootSystem, W: WeylGroupRep | None = None) -> li
             extended = tuple(comp) + (low,)
             for x in comp:
                 candidates.append(rest + tuple(r for r in extended if r != x))
-        for cand in candidates:
-            if not cand:
-                continue
-            k = key_of(cand)
-            if k not in seen_keys:
-                seen_keys[k] = cand
-                queue.append(cand)
+        queue.extend(cand for cand in candidates if cand and is_new(cand))
 
     out = []
-    for key in sorted(seen_keys):
-        basis = seen_keys[key]
+    for key in sorted(classes):
+        basis = classes[key]
         comps = _components(basis)
         out.append(Subsystem(
             label=subsystem_label(system, basis),

@@ -152,7 +152,7 @@ class TorusClass:
     order_poly: tuple         # integer coefficients, low degree first
 
     def order_at(self, q: int) -> int:
-        return abs(sum(c * q ** i for i, c in enumerate(self.order_poly)))
+        return _evaluate(self.order_poly, q)
 
 
 def element_words(W: WeylGroupRep) -> dict:
@@ -215,9 +215,13 @@ def order_polynomial(W: WeylGroupRep, w: Perm, tau: Twist) -> tuple:
 
 def torus_order(W: WeylGroupRep, w: Perm, tau: Twist, q: int) -> int:
     """|det(q*M(tau w) - I)| evaluated at an integer q >= 2."""
+    return _evaluate(order_polynomial(W, w, tau), q)
+
+
+def _evaluate(poly, q: int) -> int:
+    """|poly(q)| for a torus-order polynomial; q below 2 is no field size."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    poly = order_polynomial(W, w, tau)
     return abs(sum(c * q ** i for i, c in enumerate(poly)))
 
 

@@ -164,3 +164,26 @@ def test_missing_group_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "group", "info", f"File({missing})")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["1", "0", "-3"])
+def test_torus_q_below_two_exits_2(capsys, q):
+    code, out, err = run_cli(capsys, "torus", "G2", "--q", q)
+    assert code == 2 and out == ""
+    assert err == "error: q must be at least 2\n"
+
+
+@pytest.mark.parametrize("argv", [("group", "info", "GL(0,2)"),
+                                  ("group", "info", "SL(0,3)"),
+                                  ("group", "info", "Sp(0,3)"),
+                                  ("carter", "SL(0,3)")])
+def test_classical_dimension_zero_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec,order", [("PSL(1,2)", 1), ("GL(1,4)", 3)])
+def test_classical_dimension_one_stays_valid(capsys, spec, order):
+    code, out, _ = run_cli(capsys, "group", "info", spec, "--format", "json")
+    assert code == 0 and json.loads(out)["order"] == order

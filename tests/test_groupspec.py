@@ -30,6 +30,14 @@ def test_pgammal_of_prime_field_collapses():
     assert realize_group("PGammaL(2,7)").order() == 336  # = PGL(2,7)
 
 
+def test_pgammal_is_pgl_extended_by_frobenius():
+    rg = realize("PGammaL(2,8)")
+    ext = realize("Ext(PGL(2,8), frob)")
+    assert rg.label == "PGammaL(2,8)"
+    assert rg.group.generators == ext.group.generators
+    assert rg.inner.generators == ext.inner.generators
+
+
 def test_file_source(tmp_path):
     from carterlab.permgrp.group import PermGroup
     path = tmp_path / "group.json"

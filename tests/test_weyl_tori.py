@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from carterlab.permgrp.search import conjugacy_classes
 from carterlab.rootsys.e6scan import (e6_centralizer_scan,
                                       scan_order3_self_normalizers)
 from carterlab.rootsys.roots import SUPPORTED, root_system
+from carterlab.rootsys import subsystems
 from carterlab.rootsys.subsystems import borel_de_siebenthal
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
                                     identity_twist, order_polynomial,
@@ -226,6 +228,86 @@ def test_bds_subsystems_are_closed(subtests=None):
                 tot = tuple(a + b for a, b in zip(r1, r2))
                 if tot in all_roots:
                     assert tot in closed, (t, n, sub.label)
+
+
+# Class count and SHA-256 of repr([(label, basis, sorted(roots))]) for
+# every supported system but E8, as the diagram-walking classifier and
+# per-candidate orbit walks produced them.
+SUBSYSTEM_PINS = {
+    "A1": (1, "7bb61acf079f5d897f0954750cf66f4ee0a6277d2df2ef3d0b6a0d989908a4e0"),
+    "A2": (2, "490f24237a78ea4daf1253209608e27d9fcb6ca420e7ed97d11451fb5585076a"),
+    "A3": (4, "bdd0c459478e50d0f18be57ca3d1163232c7fb67102da660de89a3144fa40938"),
+    "A4": (6, "68c1930b949a6e38739d4b70aef68e31ad9cc4288859c775c5b5e5194db1fff6"),
+    "A5": (10, "ad88f060e0a60020537fb22495f2feff9d2f75c021e755bcc984483f7916f764"),
+    "A6": (14, "598228fa1f3d19e3295dc047e0131b5e4245520048ea178034ebcbc2a7b91cfb"),
+    "A7": (21, "95e04c142066016a6ba29659471dae18532ee0256971ab3edc20443760e52b80"),
+    "B2": (4, "eb394133e83dbf22fd47daa6f8d5ee831d64d2a686a1d454e24c3a39a2f019aa"),
+    "B3": (9, "7dc6a7b1a490703842cdbee944311fa6b17a23c18b5f073a2ec2f526174f6411"),
+    "B4": (19, "4080dbbfd9caa4872182abc34922c8149a22320dd4b1e73dc3aefbe3274e9600"),
+    "B5": (35, "cb1b0468ba93913b03b015c4f85e566aa99d15ea7e76e49da72ad7b2d88d60c3"),
+    "B6": (64, "5369d7181607d9466cd28a2ce5b6198258198c5e879ff0051751baa32c969a11"),
+    "B7": (109, "62235d1b233aa54c91083fbecce967b700f77b733d658ab8c65fcb47ef591408"),
+    "C2": (4, "2166153e331c151fb64ba7fd3c36730ca1576d76365cd871ae22d6276271377b"),
+    "C3": (9, "f30b8fe8ef17475e6ad3dc11c0e76dfecd1a1baf92945b16e04c1f98909af037"),
+    "C4": (19, "1533c25e7fe04ca5b4ffae8a6ca124a58ed0ad2c86a0ffc9f40c1a40869226e2"),
+    "C5": (35, "ceaca5735387058b84152aac7ef43c6497eba162bf058cc27598d373d7560e1a"),
+    "C6": (64, "dae7f6da311856dda504035d006a94b5abb37048295fed17cc6fae513f335e6e"),
+    "C7": (109, "4ed9180b6ffd76f90e43548436fef477fd0049d1c3ab0d1cfa1aeeee2a54caa8"),
+    "D3": (4, "cbfcfe0a69f7d031217d67a2023307ee59a6578aa757f6aa5871bf1609064747"),
+    "D4": (11, "1c973ff5b473d891b9c79a252af2c99451cbf21f96060d262a537490fabeed2c"),
+    "D5": (15, "46fdf843513a46aafcd8c91b7af93e25839ede3f451c97467716490d5e8b55ba"),
+    "D6": (31, "3cdbb58f117f563390db60ba87f1b612cf34adf7a8f8b74bf3d6ac346de9131a"),
+    "D7": (44, "05a80a9338ed3b39fc72756615e61fa0843cb81faf5e2d77be100874bbddc255"),
+    "E6": (20, "6b5b6cd6c9ce55a878dc35a8a03531d1e9a91ea9a8f45fc9e5894d6e34c2e313"),
+    "E7": (46, "564aeeaee1d5ab7d7ca207c4a8a4a776f5c9677bcc5cfd95d03cac9de298b45e"),
+    "F4": (23, "c0c66486ebe9bb9381c28ecc805ea42aa1437fcaa53b2c63c5949c89a16d6c0b"),
+    "G2": (5, "df1e6f089afd1a57bd1177092a8afbc58087a874f3da0c1f1d401d38a2ff5891"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSYSTEM_PINS))
+def test_subsystem_classes_are_pinned(name):
+    subs = borel_de_siebenthal(root_system(name[0], int(name[1:])))
+    digest = hashlib.sha256(repr([(s.label, s.basis, sorted(s.roots))
+                                  for s in subs]).encode()).hexdigest()
+    assert (len(subs), digest) == SUBSYSTEM_PINS[name]
+
+
+@pytest.mark.parametrize("name,labels", [
+    ("G2", ["A1", "A1+A1~", "A1~", "A2", "G2"]),
+    # D3 is reported as A3 and B2 as C2
+    ("B3", ["A1", "A1+A1", "A1+A1+A1~", "A1+A1~", "A1~", "A2", "A3", "B3",
+            "C2"]),
+    # three classes of A3 (and of A1+A1), permuted by triality
+    ("D4", ["A1", "A1+A1", "A1+A1", "A1+A1", "A1+A1+A1", "A1+A1+A1+A1", "A2",
+            "A3", "A3", "A3", "D4"]),
+    ("E6", ["A1", "A1+A1", "A1+A1+A1", "A1+A1+A1+A1", "A1+A1+A2",
+            "A1+A1+A3", "A1+A2", "A1+A2+A2", "A1+A3", "A1+A4", "A1+A5", "A2",
+            "A2+A2", "A2+A2+A2", "A3", "A4", "A5", "D4", "D5", "E6"]),
+])
+def test_subsystem_labels(name, labels):
+    subs = borel_de_siebenthal(root_system(name[0], int(name[1:])))
+    assert sorted(s.label for s in subs) == labels
+
+
+@pytest.mark.parametrize("name,walks,points", [("E6", 20, 5078),
+                                               ("F4", 23, 446)])
+def test_subsystem_orbit_walk_count(monkeypatch, name, walks, points):
+    """A perf gate that does not depend on the machine: one Weyl-orbit
+    walk per subsystem class.  Walking every candidate's orbit makes 162
+    walks on E6 and 135 on F4."""
+    sizes = []
+    walk = subsystems.orbit
+
+    def counting(*args):
+        found = walk(*args)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(subsystems, "orbit", counting)
+    subs = borel_de_siebenthal(root_system(name[0], int(name[1:])))
+    assert len(subs) == walks
+    assert (len(sizes), sum(sizes)) == (walks, points)
 
 
 @pytest.mark.parametrize("spec,classes,offenders", [
