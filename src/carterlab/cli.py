@@ -22,7 +22,8 @@ from .linear.groupspec import GroupSpecError, realize
 from .permgrp.carter import carter_subgroups
 from .rootsys.roots import omega_fixed_roots, root_system
 from .rootsys.subsystems import borel_de_siebenthal
-from .rootsys.weyl import f_conjugacy_classes, twist_by_name, weyl_group
+from .rootsys.weyl import (check_field_size, f_conjugacy_classes,
+                           twist_by_name, weyl_group)
 from .verify import REGISTRY, render_reports
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -148,6 +149,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_torus(args) -> int:
     t, rank = _parse_type(args.type_label)
+    check_field_size(args.q)    # before the class walk, which may hit a cap
     system = root_system(t, rank)
     W = weyl_group(system)
     tau = twist_by_name(system, args.twist)

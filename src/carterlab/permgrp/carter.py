@@ -9,9 +9,11 @@ because a proper subgroup of a nilpotent K never equals its normalizer
 in K, so K grows from the trivial subgroup through such prime steps.
 Self-normalizing nodes are exactly the Carter classes.
 
-Two economies keep this desk-sized: extension candidates are taken up
-to N_G(H)-conjugacy (conjugate candidates give G-conjugate extensions,
-since they fix H), and class deduplication buckets subgroups by
+Three economies keep this desk-sized.  Extension candidates are taken
+up to N_G(H)-conjugacy (conjugate candidates give G-conjugate
+extensions, since they fix H).  The first layer, G's classes of
+prime-order elements, conjugates only those elements, so the other
+classes are never walked.  Class deduplication buckets subgroups by
 (order, element-order multiset) before running a conjugacy search.
 """
 
@@ -23,8 +25,9 @@ from dataclasses import dataclass, field
 from ..errors import CapExceeded
 from .group import PermGroup
 from .perm import Perm
-from .search import (are_conjugate_subgroups, conjugacy_classes, orbits,
-                     subgroup_centralizer, subgroup_normalizer)
+from .search import (CLASS_ENUMERATION_CAP, SearchCapExceeded,
+                     are_conjugate_subgroups, orbits, subgroup_centralizer,
+                     subgroup_normalizer)
 from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000
@@ -95,6 +98,22 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup):
     return [o[0] for o in orbits(candidates, N.generators, Perm.conjugate)]
 
 
+def _prime_order_class_reps(G: PermGroup) -> list:
+    """Least members of G's classes of prime-order elements, sorted by
+    (class size, representative) as ``conjugacy_classes`` sorts them.
+
+    Only prime-order elements are conjugated: the classes of the others
+    are never walked.
+    """
+    if G.order() > CLASS_ENUMERATION_CAP:
+        raise SearchCapExceeded(
+            f"|G| = {G.order()} exceeds class enumeration cap")
+    prime = (y for y in G.elements() if is_prime(y.order()))
+    classes = sorted((len(o), o[0])
+                     for o in orbits(prime, G.generators, Perm.conjugate))
+    return [rep for _, rep in classes]
+
+
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
     """All conjugacy classes of Carter subgroups of G, by exhaustive search."""
     if G.order() > cap:
@@ -114,7 +133,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: prime-order class representatives of G itself
-            reps = [rep for rep, _ in conjugacy_classes(G) if is_prime(rep.order())]
+            reps = _prime_order_class_reps(G)
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise SearchCapError(

@@ -23,7 +23,10 @@ partition stabilizer K, and the costly fingerprint walk, which
 conjugates every element of H at each step, runs inside K instead of G.
 For conjugacy, a partition walk first maps H1's orbits onto H2's; any
 conjugator then differs from that map by an element of H2's partition
-stabilizer.
+stabilizer.  A partition is a label vector: entry p is the least point
+of p's cell.  Equal partitions give equal vectors, so a walk keys its
+transversal by them directly, and moving one is a scatter of the labels
+and one relabelling pass in C.
 
 Orbits are walked breadth-first with generators in a fixed order, so
 every result (including returned conjugators) is deterministic.  Walks
@@ -184,13 +187,27 @@ def _conj_fingerprint(fp: frozenset, g: Perm) -> frozenset:
     return frozenset(x.conjugate(g) for x in fp)
 
 
-def _orbit_partition(H: PermGroup) -> frozenset:
-    """H's orbits on the domain, fixed points included as singletons."""
-    return frozenset(frozenset(o) for o in H.natural_orbits())
+def _orbit_partition(H: PermGroup) -> tuple:
+    """H's orbits on the domain, fixed points included, as a label vector:
+    entry p is the least point of p's orbit."""
+    lab = [0] * H.degree
+    for o in H.natural_orbits():
+        for p in o:
+            lab[p] = o[0]
+    return tuple(lab)
 
 
-def _move_partition(part: frozenset, g: Perm) -> frozenset:
-    return frozenset(frozenset(g[p] for p in o) for o in part)
+def _move_partition(lab: tuple, g: Perm) -> tuple:
+    """The label vector of the partition ``lab`` moved by g.
+
+    Cells are relabelled by their least points, met first in a scan of
+    the points in order, so equal partitions give equal vectors.
+    """
+    moved = [0] * len(lab)
+    for p, c in zip(g, lab):
+        moved[p] = c
+    least = {}
+    return tuple(map(least.setdefault, moved, range(len(moved))))
 
 
 def _partition_stabilizer(G: PermGroup, H: PermGroup) -> PermGroup:

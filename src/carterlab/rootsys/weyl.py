@@ -218,10 +218,15 @@ def torus_order(W: WeylGroupRep, w: Perm, tau: Twist, q: int) -> int:
     return _evaluate(order_polynomial(W, w, tau), q)
 
 
-def _evaluate(poly, q: int) -> int:
-    """|poly(q)| for a torus-order polynomial; q below 2 is no field size."""
+def check_field_size(q: int) -> None:
+    """Reject q below 2, which is no field size."""
     if q < 2:
         raise ValueError("q must be at least 2")
+
+
+def _evaluate(poly, q: int) -> int:
+    """|poly(q)| for a torus-order polynomial."""
+    check_field_size(q)
     return abs(sum(c * q ** i for i, c in enumerate(poly)))
 
 

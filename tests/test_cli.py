@@ -52,8 +52,16 @@ def test_carter_command(capsys):
 
 
 # The representative generators are part of the report, so their exact
-# text is pinned here.
+# text is pinned here.  The flagship search takes about 1.5 s.
 CARTER_TEXT = {
+    "Ext(PSL(2,27), frob)": """\
+Ext(PSL(2,27), frob): order 29484, 1 Carter class(es)
+  order 81: <(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)(19 20 21)\
+(22 23 24)(25 26 27), (4 5 6)(7 9 8)(10 17 14)(11 18 15)(12 16 13)(19 24 27)\
+(20 22 25)(21 23 26), (1 4 7)(2 5 8)(3 6 9)(10 13 16)(11 14 17)(12 15 18)\
+(19 22 25)(20 23 26)(21 24 27), (1 10 19)(2 11 20)(3 12 21)(4 13 22)\
+(5 14 23)(6 15 24)(7 16 25)(8 17 26)(9 18 27)>
+""",
     "Sym(4)": """\
 Sym(4): order 24, 1 Carter class(es)
   order 8: <(0 1)(2 3), (2 3), (0 2)(1 3)>
@@ -78,6 +86,13 @@ def test_carter_text_report_is_pinned(capsys, spec):
 
 def test_carter_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "carter", "Sp(4,3)", "--cap", "100")
+    assert code == 3 and "cap" in err
+
+
+def test_carter_beyond_class_cap_exits_3(capsys, monkeypatch):
+    from carterlab.permgrp import carter
+    monkeypatch.setattr(carter, "CLASS_ENUMERATION_CAP", 100)     # |Sym(5)| = 120
+    code, _, err = run_cli(capsys, "carter", "Sym(5)")
     assert code == 3 and "cap" in err
 
 
@@ -169,6 +184,14 @@ def test_missing_group_file_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("q", ["1", "0", "-3"])
 def test_torus_q_below_two_exits_2(capsys, q):
     code, out, err = run_cli(capsys, "torus", "G2", "--q", q)
+    assert code == 2 and out == ""
+    assert err == "error: q must be at least 2\n"
+
+
+def test_torus_checks_q_before_walking_classes(capsys, monkeypatch):
+    from carterlab.rootsys import weyl
+    monkeypatch.setattr(weyl, "F_CLASS_CAP", 5)     # |W(A2)| = 6
+    code, out, err = run_cli(capsys, "torus", "A2", "--q", "1")
     assert code == 2 and out == ""
     assert err == "error: q must be at least 2\n"
 

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from carterlab.permgrp import bruteforce as bf
+from carterlab.permgrp import search
+from carterlab.permgrp.carter import _prime_order_class_reps
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import (are_conjugate_elements,
@@ -10,6 +12,7 @@ from carterlab.permgrp.search import (are_conjugate_elements,
                                       element_centralizer,
                                       element_centralizer_with_known_index,
                                       subgroup_centralizer, subgroup_normalizer)
+from carterlab.permgrp.sylow import is_prime
 from carterlab.rootsys.roots import root_system
 from carterlab.rootsys.weyl import weyl_group
 
@@ -112,6 +115,76 @@ def test_subgroup_conjugacy_matches_brute_on_equal_orders(corpus):
                                                           H2.generators)
                 verdicts[fast is None] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+# ---------------------------------------------------------------- partitions
+
+def _cells(lab):
+    """The partition a label vector encodes, as a set of cells."""
+    cells = {}
+    for p, c in enumerate(lab):
+        cells.setdefault(c, set()).add(p)
+    return {frozenset(c) for c in cells.values()}
+
+
+def _random_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Perm(images)
+
+
+def test_moved_label_vector_encodes_moved_orbits(corpus):
+    """Moving H's orbit partition by g gives H^g's orbit partition, in the
+    same canonical form, for g in G, in H, or anywhere in Sym(n)."""
+    kinds = {"in G": 0, "in H": 0, "in Sym(n)": 0, "moved": 0}
+    for spec, G, H, rng in _random_subgroups(corpus, 14, 4):
+        lab = search._orbit_partition(H)
+        assert _cells(lab) == {frozenset(o) for o in H.natural_orbits()}, spec
+        for kind, g in (("in G", G.random_element(rng)),
+                        ("in H", H.random_element(rng)),
+                        ("in Sym(n)", _random_perm(rng, G.degree))):
+            moved = search._move_partition(lab, g)
+            assert _cells(moved) == {frozenset(g[p] for p in o)
+                                     for o in H.natural_orbits()}, (spec, kind)
+            Hg = PermGroup([h.conjugate(g) for h in H.generators], G.degree)
+            assert moved == search._orbit_partition(Hg), (spec, kind)
+            # the walks move moved vectors: the right action composes
+            g2 = _random_perm(rng, G.degree)
+            assert search._move_partition(moved, g2) == \
+                search._move_partition(lab, g * g2), (spec, kind)
+            kinds[kind] += 1
+            kinds["moved"] += moved != lab
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
+    verdicts = {True: 0, False: 0}
+    by_degree = {}
+    for spec, G, H, rng in _random_subgroups(corpus, 15, 3):
+        lab = search._orbit_partition(H)
+        labs = by_degree.setdefault(G.degree, [])
+        labs += [lab, search._move_partition(lab, H.random_element(rng)),
+                 search._move_partition(lab, G.random_element(rng)),
+                 search._move_partition(lab, _random_perm(rng, G.degree))]
+    for labs in by_degree.values():
+        for i, lab1 in enumerate(labs):
+            for lab2 in labs[i + 1:]:
+                same = _cells(lab1) == _cells(lab2)
+                assert (lab1 == lab2) == same, (lab1, lab2)
+                verdicts[same] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_first_layer_is_the_prime_order_classes(corpus):
+    """The Carter search's first layer lists the prime-order classes of
+    ``conjugacy_classes`` without walking the other classes."""
+    layers = 0
+    for spec, G in corpus.items():
+        expected = [rep for rep, _ in conjugacy_classes(G)
+                    if is_prime(rep.order())]
+        assert _prime_order_class_reps(G) == expected, spec
+        layers += len(expected) > 1
+    assert layers >= 25, layers
 
 
 # ---------------------------------------------------------------- centralizer
