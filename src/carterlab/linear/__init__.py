@@ -15,7 +15,6 @@ from .classical import (
 from .projective import (
     DomainCapExceeded,
     ProjectiveAction,
-    coset_exponent,
     extend_by_autos,
     frobenius_perm,
     graph_auto_perm,
@@ -29,8 +28,7 @@ __all__ = [
     "FiniteField", "field_make", "Matrix", "ClassicalGroupSpec",
     "classical_group", "form_matrix", "lie_order", "long_root_element",
     "matrix_group_order", "preserves_form", "scalar_count",
-    "DomainCapExceeded", "ProjectiveAction", "coset_exponent",
-    "extend_by_autos", "frobenius_perm", "graph_auto_perm", "linear_rep",
-    "projective_points", "projective_rep", "GroupSpecError", "RealizedGroup",
+    "DomainCapExceeded", "ProjectiveAction", "extend_by_autos",
+    "frobenius_perm", "graph_auto_perm", "linear_rep", "projective_points", "projective_rep", "GroupSpecError", "RealizedGroup",
     "realize", "realize_group",
 ]

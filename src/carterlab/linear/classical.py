@@ -110,9 +110,8 @@ def _elementary(F: FiniteField, n: int, i: int, j: int, t: int) -> Matrix:
     return Matrix(F, rows)
 
 
-def sl_generators(n: int, q: int) -> list[Matrix]:
+def sl_generators(F: FiniteField, n: int) -> list[Matrix]:
     """Transvections I + t E_ij over an additive field basis generate SL(n, q)."""
-    F = field_make(*_split_prime_power(q))
     gens = []
     for t in _field_basis(F):
         for i in range(n):
@@ -122,10 +121,9 @@ def sl_generators(n: int, q: int) -> list[Matrix]:
     return gens
 
 
-def gl_generators(n: int, q: int) -> list[Matrix]:
-    F = field_make(*_split_prime_power(q))
-    gens = sl_generators(n, q)
-    if q > 2:
+def gl_generators(F: FiniteField, n: int) -> list[Matrix]:
+    gens = sl_generators(F, n)
+    if F.size > 2:
         rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         rows[0][0] = F.generator
         gens.append(Matrix(F, rows))
@@ -140,16 +138,15 @@ def long_root_element(n: int, q: int, i: int, t: int) -> Matrix:
     """
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    F = field_make(*_split_prime_power(q))
+    F = ClassicalGroupSpec("Sp", 2 * n, q).field
     return _elementary(F, 2 * n, i - 1, 2 * n - i, t)
 
 
-def sp_generators(n2: int, q: int) -> list[Matrix]:
+def sp_generators(F: FiniteField, n2: int) -> list[Matrix]:
     """Root elements of Sp(n2, q) for all long and short roots."""
     if n2 % 2:
         raise ValueError("symplectic dimension must be even")
     n = n2 // 2
-    F = field_make(*_split_prime_power(q))
     gens = []
 
     def pair(i):  # f_i coordinate for e_i coordinate
@@ -183,9 +180,8 @@ def sp_generators(n2: int, q: int) -> list[Matrix]:
     return gens
 
 
-def _su_unipotent_all(q: int) -> list[Matrix]:
-    p, k = _split_prime_power(q)
-    F = field_make(p, 2 * k)
+def _su_unipotent_all(F: FiniteField, q: int) -> list[Matrix]:
+    """Upper unitriangular matrices of SU(3, q), F = GF(q^2)."""
     out = []
     for a in F.elements():
         aq = F.pow(a, q) if a else 0
@@ -196,11 +192,9 @@ def _su_unipotent_all(q: int) -> list[Matrix]:
     return out
 
 
-def su_generators(q: int) -> list[Matrix]:
+def su_generators(F: FiniteField, q: int) -> list[Matrix]:
     """SU(3, q): upper and lower unipotent root elements plus a torus element."""
-    p, k = _split_prime_power(q)
-    F = field_make(p, 2 * k)
-    uppers = [m for m in _su_unipotent_all(q) if m != Matrix.identity(F, 3)]
+    uppers = [m for m in _su_unipotent_all(F, q) if m != Matrix.identity(F, 3)]
     J = Matrix(F, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     lowers = [J * m * J for m in uppers]
     alpha = F.generator
@@ -210,25 +204,24 @@ def su_generators(q: int) -> list[Matrix]:
     return uppers + lowers + [torus]
 
 
-def gu_generators(q: int) -> list[Matrix]:
-    p, k = _split_prime_power(q)
-    F = field_make(p, 2 * k)
+def gu_generators(F: FiniteField, q: int) -> list[Matrix]:
     mu = F.generator
     extra = Matrix(F, [[mu, 0, 0], [0, 1, 0], [0, 0, F.pow(mu, (-q) % (F.size - 1))]])
-    return su_generators(q) + [extra]
+    return su_generators(F, q) + [extra]
 
 
 def classical_group(spec: ClassicalGroupSpec) -> list[Matrix]:
+    F = spec.field
     if spec.family == "SL":
-        gens = sl_generators(spec.n, spec.q)
+        gens = sl_generators(F, spec.n)
     elif spec.family == "GL":
-        gens = gl_generators(spec.n, spec.q)
+        gens = gl_generators(F, spec.n)
     elif spec.family == "Sp":
-        gens = sp_generators(spec.n, spec.q)
+        gens = sp_generators(F, spec.n)
     elif spec.family == "SU":
-        gens = su_generators(spec.q)
+        gens = su_generators(F, spec.q)
     else:
-        gens = gu_generators(spec.q)
+        gens = gu_generators(F, spec.q)
     for g in gens:
         if not preserves_form(spec, g):
             raise AssertionError(f"generator violates the {spec.family} form")

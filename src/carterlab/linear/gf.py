@@ -85,9 +85,6 @@ class FiniteField:
     def elements(self):
         return range(self.size)
 
-    def nonzero(self):
-        return range(1, self.size)
-
     def prime_subfield(self):
         """Element codes of the prime field GF(p)."""
         return list(range(self.p))

@@ -28,29 +28,15 @@ class Matrix:
         return cls(field, [[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __mul__(self, other: Matrix) -> Matrix:
-        F, n = self.field, self.n
-        ocols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in ocols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                new_row.append(acc)
-            out.append(new_row)
-        return Matrix(F, out)
+        return Matrix(self.field, map(other.apply_to_row_vector, self.rows))
 
     def transpose(self) -> Matrix:
         return Matrix(self.field, zip(*self.rows))
 
-    def frobenius(self, times: int = 1) -> Matrix:
+    def frobenius(self) -> Matrix:
+        """The entrywise p-th power."""
         F = self.field
-        rows = self.rows
-        for _ in range(times % F.k if F.k else 1):
-            rows = tuple(tuple(F.frobenius(a) for a in row) for row in rows)
-        return Matrix(F, rows)
+        return Matrix(F, (map(F.frobenius, row) for row in self.rows))
 
     def det(self) -> int:
         F, n = self.field, self.n

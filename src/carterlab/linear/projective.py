@@ -2,18 +2,25 @@
 
 Matrices act on row vectors (v -> v*M), which makes the matrix-to-
 permutation map a homomorphism under the left-to-right permutation
-product used throughout.  Domains are deterministic: vectors and
-projective points are normalized (first nonzero coordinate scaled to 1)
-and sorted lexicographically by their field element codes, so every
-run of the same construction produces the identical permutation group.
+product used throughout.
 
-The graph automorphism of SL(n, q), n >= 3, is realized as the duality
-swapping the point block with the hyperplane block; the field
-automorphism as the entrywise p-th power map on coordinates.
+A domain is one sorted list of points: the nonzero vectors of F^n
+(``linear``), or the projective points, whose first nonzero coordinate
+is 1.  Sorting is by field element codes, so every run of the same
+construction produces the identical permutation group.  A projective
+domain may add a block of hyperplanes, indexed by the same list:
+hyperplane v is the kernel of the form v, and M moves it by (M^T)^-1.
+
+One builder makes every permutation of a domain, sending point v to
+point_map(v) and hyperplane v to hyperplane_map(v): matrix images, and
+the field automorphism (entrywise p-th powers on both blocks).  The
+graph automorphism of SL(n, q), n >= 3, is the duality swapping the
+two blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from ..errors import CapExceeded
@@ -41,81 +48,65 @@ def _normalize(F: FiniteField, v: tuple) -> tuple:
     raise ValueError("zero vector has no projective normalization")
 
 
+def nonzero_vectors(F: FiniteField, n: int) -> list[tuple]:
+    """Every nonzero vector of F^n, sorted."""
+    return list(itertools.product(range(F.size), repeat=n))[1:]
+
+
 def projective_points(F: FiniteField, n: int) -> list[tuple]:
     """Normalized representatives of P^{n-1}(F), sorted."""
-    points = []
-    for lead in range(n):
-        # first nonzero coordinate at position `lead`, scaled to 1
-        tail = n - lead - 1
-        for code in range(F.size ** tail):
-            v = [0] * lead + [1]
-            c = code
-            for _ in range(tail):
-                v.append(c % F.size)
-                c //= F.size
-            points.append(tuple(v))
-    return sorted(points)
-
-
-def nonzero_vectors(F: FiniteField, n: int) -> list[tuple]:
-    out = []
-    for code in range(1, F.size ** n):
-        v = []
-        c = code
-        for _ in range(n):
-            v.append(c % F.size)
-            c //= F.size
-        out.append(tuple(v))
-    return sorted(out)
+    return [v for v in nonzero_vectors(F, n) if next(filter(None, v)) == 1]
 
 
 @dataclass
 class ProjectiveAction:
-    """A matrix group realized on projective points (plus dual hyperplanes)."""
+    """A matrix group realized on one block of points (projective points, or
+    nonzero vectors when ``linear``), plus a dual block of hyperplanes."""
 
     spec: ClassicalGroupSpec
     include_hyperplanes: bool = False
     linear: bool = False  # act on nonzero vectors instead (faithful for SL etc.)
-    domain: list = dc_field(init=False)
+    points: list = dc_field(init=False)
     _index: dict = dc_field(init=False)
-    _n_points: int = dc_field(init=False)
 
     def __post_init__(self):
-        F = self.spec.field
-        n = self.spec.n
-        if self.linear:
-            pts = nonzero_vectors(F, n)
-            if self.include_hyperplanes:
-                raise ValueError("hyperplane block requires the projective domain")
-        else:
-            pts = projective_points(F, n)
-        self._n_points = len(pts)
-        domain = list(pts)
-        if self.include_hyperplanes:
-            domain += list(pts)  # dual block, same coordinate set
-        if len(domain) > DOMAIN_CAP:
-            raise DomainCapExceeded(f"domain size {len(domain)} exceeds {DOMAIN_CAP}")
-        self.domain = domain
-        self._index = {v: i for i, v in enumerate(pts)}
+        if self.linear and self.include_hyperplanes:
+            raise ValueError("hyperplane block requires the projective domain")
+        F, n = self.spec.field, self.spec.n
+        # the size is checked before any point is listed
+        size = (F.size ** n - 1) // (1 if self.linear else F.size - 1)
+        size *= 2 if self.include_hyperplanes else 1
+        if size > DOMAIN_CAP:
+            raise DomainCapExceeded(f"domain size {size} exceeds {DOMAIN_CAP}")
+        self.points = nonzero_vectors(F, n) if self.linear else projective_points(F, n)
+        self._index = {v: i for i, v in enumerate(self.points)}
 
     @property
     def degree(self) -> int:
-        return len(self.domain)
+        return len(self.points) * (2 if self.include_hyperplanes else 1)
 
-    def _point_image(self, v: tuple, M: Matrix) -> tuple:
-        w = M.apply_to_row_vector(v)
-        return w if self.linear else _normalize(self.spec.field, w)
+    def _block_perm(self, point_map, hyperplane_map) -> Perm:
+        """Point v goes to point_map(v), hyperplane v to hyperplane_map(v)."""
+        index = self._index
+        images = [index[point_map(v)] for v in self.points]
+        if self.include_hyperplanes:
+            off = len(self.points)
+            images += [off + index[hyperplane_map(v)] for v in self.points]
+        return Perm(images)
+
+    def _mover(self, M: Matrix):
+        """The map sending a point v to the point of v*M."""
+        if self.linear:
+            return M.apply_to_row_vector
+        F = self.spec.field
+        return lambda v: _normalize(F, M.apply_to_row_vector(v))
 
     def perm_of(self, M: Matrix) -> Perm:
-        """The permutation induced by M (hyperplanes move by the inverse)."""
-        images = [self._index[self._point_image(v, M)]
-                  for v in self.domain[:self._n_points]]
+        """The permutation induced by M (hyperplanes move by the inverse transpose)."""
+        hyperplane_map = None
         if self.include_hyperplanes:
-            Minv_t = M.inverse().transpose()
-            off = self._n_points
-            images += [off + self._index[self._point_image(v, Minv_t)]
-                       for v in self.domain[:self._n_points]]
-        return Perm(images)
+            hyperplane_map = self._mover(M.inverse().transpose())
+        return self._block_perm(self._mover(M), hyperplane_map)
 
     def group(self) -> PermGroup:
         gens = [self.perm_of(M) for M in classical_group(self.spec)]
@@ -123,9 +114,7 @@ class ProjectiveAction:
 
     def image_order(self) -> int:
         order = matrix_group_order(self.spec)
-        if self.linear:
-            return order
-        return order // scalar_count(self.spec)
+        return order if self.linear else order // scalar_count(self.spec)
 
 
 def projective_rep(spec: ClassicalGroupSpec,
@@ -140,15 +129,11 @@ def linear_rep(spec: ClassicalGroupSpec) -> ProjectiveAction:
 def frobenius_perm(action: ProjectiveAction) -> Perm:
     """The permutation of the domain induced by entrywise p-th powers."""
     F = action.spec.field
-    n_pts = action._n_points
 
     def image(v):
-        return tuple(F.frobenius(a) for a in v)
+        return tuple(map(F.frobenius, v))
 
-    images = [action._index[image(v)] for v in action.domain[:n_pts]]
-    if action.include_hyperplanes:
-        images += [n_pts + action._index[image(v)] for v in action.domain[:n_pts]]
-    return Perm(images)
+    return action._block_perm(image, image)
 
 
 def graph_auto_perm(action: ProjectiveAction) -> Perm:
@@ -158,9 +143,8 @@ def graph_auto_perm(action: ProjectiveAction) -> Perm:
         raise ValueError("graph automorphism needs dimension >= 3")
     if not action.include_hyperplanes:
         raise ValueError("build the action with include_hyperplanes=True")
-    n_pts = action._n_points
-    images = [n_pts + i for i in range(n_pts)] + list(range(n_pts))
-    return Perm(images)
+    m = len(action.points)
+    return Perm([*range(m, 2 * m), *range(m)])
 
 
 def extend_by_autos(G: PermGroup, autos) -> PermGroup:
@@ -175,13 +159,3 @@ def extend_by_autos(G: PermGroup, autos) -> PermGroup:
         return G
     return PermGroup(G.generators + tuple(autos), G.degree)
 
-
-def coset_exponent(G: PermGroup, zeta: Perm, zeta_order: int, g: Perm) -> int:
-    """The power of zeta carried by g in <G, zeta>: least i with g*zeta^-i in G."""
-    z_inv = zeta.inverse()
-    cur = g
-    for i in range(zeta_order):
-        if cur in G:
-            return i
-        cur = cur * z_inv
-    raise ValueError("element does not lie in <G, zeta> with the given order")

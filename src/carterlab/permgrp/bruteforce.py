@@ -2,8 +2,9 @@
 
 These are the reference implementations the fast engine is tested
 against. They enumerate whole groups (or whole subgroup lattices), so
-they are only usable on small inputs; every function takes a hard cap
-and refuses to run past it rather than silently grinding.
+they are only usable on small inputs.  Every function refuses to run
+past a hard cap rather than silently grinding; the caps are the module
+constants ``CLOSURE_CAP``, ``SCAN_CAP`` and ``LATTICE_CAP``.
 
 They use none of the engine's searches (normalizers, conjugacy tests,
 Sylow or Carter code).  Their answers come from ``Perm`` arithmetic,
@@ -29,7 +30,17 @@ class OracleCapExceeded(CapExceeded):
     pass
 
 
-def closure(gens, degree: int, cap: int = 200_000) -> set:
+CLOSURE_CAP = 200_000   # elements in one closure
+SCAN_CAP = 20_000       # |G| for a scan of every element
+LATTICE_CAP = 400       # |G| for a subgroup-lattice walk
+
+
+def _check_order(G: PermGroup, cap: int) -> None:
+    if G.order() > cap:
+        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+
+
+def closure(gens, degree: int) -> set:
     """All elements of <gens> by breadth-first multiplication."""
     seen = {Perm.identity(degree)}
     frontier = list(seen)
@@ -41,20 +52,19 @@ def closure(gens, degree: int, cap: int = 200_000) -> set:
                 if h not in seen:
                     seen.add(h)
                     new.append(h)
-                    if len(seen) > cap:
-                        raise OracleCapExceeded(f"closure larger than {cap}")
+                    if len(seen) > CLOSURE_CAP:
+                        raise OracleCapExceeded(f"closure larger than {CLOSURE_CAP}")
         frontier = new
     return seen
 
 
-def closure_order(gens, degree: int, cap: int = 200_000) -> int:
-    return len(closure(gens, degree, cap))
+def closure_order(gens, degree: int) -> int:
+    return len(closure(gens, degree))
 
 
-def brute_normalizer(G: PermGroup, H: PermGroup, cap: int = 20_000) -> PermGroup:
+def brute_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) by scanning every element of G."""
-    if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+    _check_order(G, SCAN_CAP)
     gens = []
     for g in G.elements():
         if all(h.conjugate(g) in H for h in H.generators):
@@ -62,31 +72,27 @@ def brute_normalizer(G: PermGroup, H: PermGroup, cap: int = 20_000) -> PermGroup
     return PermGroup(gens, G.degree)
 
 
-def brute_centralizer(G: PermGroup, xs, cap: int = 20_000) -> PermGroup:
+def brute_centralizer(G: PermGroup, xs) -> PermGroup:
     """C_G(xs) by scanning every element of G; xs is a Perm or iterable."""
     if isinstance(xs, Perm):
         xs = [xs]
     xs = list(xs)
-    if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+    _check_order(G, SCAN_CAP)
     gens = [g for g in G.elements() if all(x * g == g * x for x in xs)]
     return PermGroup(gens, G.degree)
 
 
-def brute_conjugator(G: PermGroup, x: Perm, y: Perm, cap: int = 20_000):
+def brute_conjugator(G: PermGroup, x: Perm, y: Perm):
     """Some g in G with x^g = y, or None."""
-    if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+    _check_order(G, SCAN_CAP)
     for g in G.elements():
         if x.conjugate(g) == y:
             return g
     return None
 
 
-def brute_subgroup_conjugator(G: PermGroup, H1: PermGroup, H2: PermGroup,
-                              cap: int = 20_000):
-    if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+def brute_subgroup_conjugator(G: PermGroup, H1: PermGroup, H2: PermGroup):
+    _check_order(G, SCAN_CAP)
     if H1.order() != H2.order():
         return None
     for g in G.elements():
@@ -95,18 +101,17 @@ def brute_subgroup_conjugator(G: PermGroup, H1: PermGroup, H2: PermGroup,
     return None
 
 
-def all_subgroups(G: PermGroup, cap: int = 400):
+def all_subgroups(G: PermGroup):
     """Every subgroup of G as a frozenset of elements (G small)."""
-    return set(_subgroup_lattice(G, cap))
+    return set(_subgroup_lattice(G))
 
 
-def _subgroup_lattice(G: PermGroup, cap: int) -> dict:
+def _subgroup_lattice(G: PermGroup) -> dict:
     """Every subgroup of G mapped to the short generator list that built it.
 
     Walked upward one double coset at a time (see the module docstring).
     """
-    if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+    _check_order(G, LATTICE_CAP)
     elements = sorted(G.elements())
     trivial = frozenset([Perm.identity(G.degree)])
     lattice = {trivial: []}
@@ -144,12 +149,12 @@ def _double_coset(gens, x: Perm) -> set:
     return seen
 
 
-def brute_carter_classes(G: PermGroup, cap: int = 400):
+def brute_carter_classes(G: PermGroup):
     """Carter subgroups of a small G by full subgroup-lattice scan.
 
     Returns conjugacy-class representatives (each a PermGroup).
     """
-    lattice = _subgroup_lattice(G, cap)
+    lattice = _subgroup_lattice(G)
     elements = list(G.elements())
     carter = []
     for sub, gens in lattice.items():

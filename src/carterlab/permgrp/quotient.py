@@ -63,14 +63,13 @@ class QuotientProjection:
         return self.element(g)
 
 
-def quotient_group(G: PermGroup, N: PermGroup,
-                   index_cap: int = INDEX_CAP) -> tuple[PermGroup, QuotientProjection]:
+def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, QuotientProjection]:
     """The quotient G/N as a faithful PermGroup, plus its projection map."""
     if not is_normal(G, N):
         raise NotNormalError("N is not a normal subgroup of G")
     index = G.order() // N.order()
-    if index > index_cap:
-        raise IndexCapExceeded(f"index {index} exceeds cap {index_cap}")
+    if index > INDEX_CAP:
+        raise IndexCapExceeded(f"index {index} exceeds cap {INDEX_CAP}")
     n_elements = tuple(sorted(N.elements()))
     coset_key = partial(_coset_key, n_elements)
     keys = orbit([coset_key(Perm.identity(G.degree))], G.generators,

@@ -98,14 +98,7 @@ def _twist_from_simple_map(system: RootSystem, label: str, mapping) -> Twist:
         if out not in system.index:
             raise ValueError(f"{label} does not permute the roots")
         images.append(system.index[out])
-    perm = Perm(images)
-    order = 1
-    cur = mapping
-    ident = tuple(range(rank))
-    while cur != ident:
-        cur = tuple(mapping[i] for i in cur)
-        order += 1
-    return Twist(label, system, mapping, perm, order)
+    return Twist(label, system, mapping, Perm(images), Perm(mapping).order())
 
 
 def identity_twist(system: RootSystem) -> Twist:
@@ -200,11 +193,8 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
 
 def order_polynomial(W: WeylGroupRep, w: Perm, tau: Twist) -> tuple:
     """Coefficients of det(q*M(tau w) - I), sign-normalized positive at q >> 0."""
-    Mw = W.lattice_matrix(w)
-    Mt = tau.matrix()
-    rank = len(Mw)
-    M = [[sum(Mt[i][k] * Mw[k][j] for k in range(rank)) for j in range(rank)]
-         for i in range(rank)]
+    # the product applies w first, so the columns are tau(w(alpha_i))
+    M = W.lattice_matrix(w * tau.root_perm)
     # det(qM - I) = (-1)^r q^r charpoly_M(1/q): the characteristic
     # coefficients reversed, up to a sign the normalization fixes
     poly = _charpoly(M)[::-1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from carterlab.linear.groupspec import realize
+from carterlab.verify import run_all
 
 CORPUS_SPECS = [
     "Sym(3)", "Sym(4)", "Sym(5)", "Sym(6)",
@@ -30,3 +31,8 @@ def corpus():
 
 def corpus_upto(corpus, cap):
     return {spec: G for spec, G in corpus.items() if G.order() <= cap}
+
+
+@pytest.fixture(scope="session")
+def quick_reports():
+    return run_all("quick")

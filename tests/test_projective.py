@@ -4,7 +4,8 @@ import pytest
 
 from carterlab.linear.classical import ClassicalGroupSpec, classical_group
 from carterlab.linear.matrix import Matrix
-from carterlab.linear.projective import (coset_exponent, extend_by_autos,
+from carterlab.linear.groupspec import realize
+from carterlab.linear.projective import (ProjectiveAction, extend_by_autos,
                                          frobenius_perm, graph_auto_perm,
                                          linear_rep, projective_rep)
 
@@ -75,9 +76,6 @@ def test_pgammal28_order():
     fr = frobenius_perm(act)
     ext = extend_by_autos(G, [fr])
     assert G.order() == 504 and ext.order() == 1512
-    assert coset_exponent(G, fr, 3, fr) == 1
-    assert coset_exponent(G, fr, 3, fr * fr) == 2
-    assert coset_exponent(G, fr, 3, G.generators[0]) == 0
 
 
 def test_psl2_27_frobenius_extension():
@@ -109,6 +107,28 @@ def test_graph_auto_needs_dual_block_and_rank():
     with pytest.raises(ValueError):
         graph_auto_perm(projective_rep(ClassicalGroupSpec("SL", 2, 3),
                                        include_hyperplanes=True))
+
+
+def test_hyperplanes_need_the_projective_domain():
+    with pytest.raises(ValueError):
+        ProjectiveAction(ClassicalGroupSpec("SL", 3, 2), include_hyperplanes=True,
+                         linear=True)
+
+
+def test_frobenius_acts_on_both_blocks():
+    rg = realize("Ext(PGammaL(3,4), graph)")
+    assert (rg.group.degree, rg.group.order()) == (42, 241_920)
+    act = rg.action
+    fr = frobenius_perm(act)
+    assert fr.order() == 2
+    # it keeps each block and moves points in both
+    assert all((fr[i] < 21) == (i < 21) for i in range(42))
+    assert any(fr[i] != i for i in range(21))
+    assert any(fr[i] != i for i in range(21, 42))
+    tau = graph_auto_perm(act)
+    assert fr * tau == tau * fr
+    for m in classical_group(act.spec):
+        assert act.perm_of(m).conjugate(fr) == act.perm_of(m.frobenius())
 
 
 def test_extend_by_autos_validates_normalization():

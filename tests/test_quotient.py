@@ -4,6 +4,7 @@ import pytest
 
 from carterlab.permgrp.carter import carter_subgroups, is_carter_witness
 from carterlab.permgrp.group import PermGroup
+from carterlab.permgrp import quotient
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import (IndexCapExceeded, NotNormalError,
                                         is_normal, quotient_group)
@@ -51,10 +52,11 @@ def test_non_normal_subgroup_rejected():
         quotient_group(S4, H)
 
 
-def test_index_cap():
+def test_index_cap(monkeypatch):
+    monkeypatch.setattr(quotient, "INDEX_CAP", 10)
     S5 = PermGroup.symmetric(5)
     with pytest.raises(IndexCapExceeded):
-        quotient_group(S5, PermGroup.trivial(5), index_cap=10)
+        quotient_group(S5, PermGroup.trivial(5))
 
 
 def test_carter_image_is_carter_downstairs():

@@ -4,7 +4,7 @@ import pytest
 
 from carterlab.verify import (CARTER_CATALOG, CheckReport, list_cases,
                               parse_reports, regenerate_derived,
-                              render_reports, run_all, run_case)
+                              render_reports, run_case)
 
 
 def test_case_ids_unique_and_anchored():
@@ -84,11 +84,6 @@ def test_text_rendering_marks_failures_distinctly():
     text = render_reports([ok, bad])
     lines = text.splitlines()
     assert lines[0].startswith("PASS") and lines[1].startswith("FAIL!")
-
-
-@pytest.fixture(scope="session")
-def quick_reports():
-    return run_all("quick")
 
 
 def _without_ms(report):
