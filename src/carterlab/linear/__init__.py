@@ -29,6 +29,7 @@ __all__ = [
     "classical_group", "form_matrix", "lie_order", "long_root_element",
     "matrix_group_order", "preserves_form", "scalar_count",
     "DomainCapExceeded", "ProjectiveAction", "extend_by_autos",
-    "frobenius_perm", "graph_auto_perm", "linear_rep", "projective_points", "projective_rep", "GroupSpecError", "RealizedGroup",
+    "frobenius_perm", "graph_auto_perm", "linear_rep", "projective_points",
+    "projective_rep", "GroupSpecError", "RealizedGroup",
     "realize", "realize_group",
 ]

@@ -85,10 +85,6 @@ class FiniteField:
     def elements(self):
         return range(self.size)
 
-    def prime_subfield(self):
-        """Element codes of the prime field GF(p)."""
-        return list(range(self.p))
-
     def __eq__(self, other):
         return isinstance(other, FiniteField) and (self.p, self.k) == (other.p, other.k)
 

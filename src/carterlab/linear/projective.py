@@ -50,12 +50,14 @@ def _normalize(F: FiniteField, v: tuple) -> tuple:
 
 def nonzero_vectors(F: FiniteField, n: int) -> list[tuple]:
     """Every nonzero vector of F^n, sorted."""
-    return list(itertools.product(range(F.size), repeat=n))[1:]
+    return list(itertools.islice(itertools.product(range(F.size), repeat=n), 1, None))
 
 
 def projective_points(F: FiniteField, n: int) -> list[tuple]:
-    """Normalized representatives of P^{n-1}(F), sorted."""
-    return [v for v in nonzero_vectors(F, n) if next(filter(None, v)) == 1]
+    """Normalized representatives of P^{n-1}(F), sorted: the later the
+    leading 1, the earlier the point."""
+    return [(0,) * lead + (1,) + t for lead in reversed(range(n))
+            for t in itertools.product(range(F.size), repeat=n - 1 - lead)]
 
 
 @dataclass
@@ -73,7 +75,6 @@ class ProjectiveAction:
         if self.linear and self.include_hyperplanes:
             raise ValueError("hyperplane block requires the projective domain")
         F, n = self.spec.field, self.spec.n
-        # the size is checked before any point is listed
         size = (F.size ** n - 1) // (1 if self.linear else F.size - 1)
         size *= 2 if self.include_hyperplanes else 1
         if size > DOMAIN_CAP:
@@ -114,7 +115,9 @@ class ProjectiveAction:
 
     def image_order(self) -> int:
         order = matrix_group_order(self.spec)
-        return order if self.linear else order // scalar_count(self.spec)
+        if self.linear:
+            return order
+        return order // scalar_count(self.spec)
 
 
 def projective_rep(spec: ClassicalGroupSpec,
@@ -143,8 +146,9 @@ def graph_auto_perm(action: ProjectiveAction) -> Perm:
         raise ValueError("graph automorphism needs dimension >= 3")
     if not action.include_hyperplanes:
         raise ValueError("build the action with include_hyperplanes=True")
-    m = len(action.points)
-    return Perm([*range(m, 2 * m), *range(m)])
+    n_pts = len(action.points)
+    images = [n_pts + i for i in range(n_pts)] + list(range(n_pts))
+    return Perm(images)
 
 
 def extend_by_autos(G: PermGroup, autos) -> PermGroup:

@@ -98,7 +98,8 @@ def _twist_from_simple_map(system: RootSystem, label: str, mapping) -> Twist:
         if out not in system.index:
             raise ValueError(f"{label} does not permute the roots")
         images.append(system.index[out])
-    return Twist(label, system, mapping, Perm(images), Perm(mapping).order())
+    perm = Perm(images)
+    return Twist(label, system, mapping, perm, Perm(mapping).order())
 
 
 def identity_twist(system: RootSystem) -> Twist:

@@ -1,13 +1,40 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from carterlab.linear.classical import ClassicalGroupSpec, classical_group
+from carterlab.linear.gf import field_make
 from carterlab.linear.matrix import Matrix
 from carterlab.linear.groupspec import realize
 from carterlab.linear.projective import (ProjectiveAction, extend_by_autos,
                                          frobenius_perm, graph_auto_perm,
-                                         linear_rep, projective_rep)
+                                         linear_rep, nonzero_vectors,
+                                         projective_points, projective_rep)
+
+
+def test_points_are_the_sorted_vectors_with_a_leading_one():
+    for q, n in [(2, 3), (3, 3), (4, 2), (5, 1), (9, 2), (2, 4)]:
+        F = field_make(*{4: (2, 2), 9: (3, 2)}.get(q, (q, 1)))
+        vectors = nonzero_vectors(F, n)
+        assert vectors == sorted(itertools.product(range(q), repeat=n))[1:]
+        assert projective_points(F, n) == [v for v in vectors
+                                           if next(filter(None, v)) == 1]
+
+
+def test_projective_points_are_built_without_the_vectors():
+    # P^1(GF(1021)) has 1022 points but F^2 has 1,042,441 vectors: listing
+    # the vectors first would cost tens of MB here, and GB near DOMAIN_CAP
+    F = field_make(1021, 1)
+    tracemalloc.start()
+    try:
+        pts = projective_points(F, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 1022 and pts[0] == (0, 1) and pts[-1] == (1, 1020)
+    assert peak < 1_000_000
 
 
 def test_psl23_on_four_points():
