@@ -28,7 +28,7 @@ from .carter import (
     check_syl2_criterion,
     is_carter_witness,
 )
-from .io import group_from_json, group_to_json, load_group, save_group
+from .io import group_from_json, group_to_json, load_group
 
 __all__ = [
     "Perm", "parse_perm", "PermGroup", "DegreeMismatchError",
@@ -40,5 +40,5 @@ __all__ = [
     "quotient_group", "is_normal", "NotNormalError", "QuotientProjection",
     "SubgroupClassSet", "SearchCapError", "carter_class_containing_sylow2",
     "carter_subgroups", "check_syl2_criterion", "is_carter_witness",
-    "group_from_json", "group_to_json", "load_group", "save_group",
+    "group_from_json", "group_to_json", "load_group",
 ]

@@ -12,9 +12,11 @@ Self-normalizing nodes are exactly the Carter classes.
 Three economies keep this desk-sized.  Extension candidates are taken
 up to N_G(H)-conjugacy (conjugate candidates give G-conjugate
 extensions, since they fix H).  The first layer, G's classes of
-prime-order elements, conjugates only those elements, so the other
+prime-order elements, is listed by the class lister that
+``conjugacy_classes`` uses, fed only those elements, so the other
 classes are never walked.  Class deduplication buckets subgroups by
-(order, element-order multiset) before running a conjugacy search.
+(order, orbit signature, element-order multiset), computed once per
+subgroup, before running a conjugacy search.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from dataclasses import dataclass, field
 from ..errors import CapExceeded
 from .group import PermGroup
 from .perm import Perm
-from .search import (CLASS_ENUMERATION_CAP, SearchCapExceeded,
-                     are_conjugate_subgroups, orbits, subgroup_centralizer,
-                     subgroup_normalizer)
+from .search import (_classes, are_conjugate_subgroups, orbits,
+                     subgroup_centralizer, subgroup_normalizer)
 from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000
@@ -66,24 +67,6 @@ def _order_multiset(H: PermGroup) -> tuple:
     return tuple(sorted(g.order() for g in H.elements()))
 
 
-class _ClassLedger:
-    """Subgroup classes bucketed by cheap invariants, decided by conjugacy."""
-
-    def __init__(self, G: PermGroup):
-        self.G = G
-        self.buckets: dict[tuple, list[PermGroup]] = {}
-
-    def register(self, H: PermGroup) -> bool:
-        """Record H's class; True if it was new."""
-        key = (H.order(), H.orbit_signature(), _order_multiset(H))
-        bucket = self.buckets.setdefault(key, [])
-        for rep in bucket:
-            if are_conjugate_subgroups(self.G, rep, H) is not None:
-                return False
-        bucket.append(H)
-        return True
-
-
 def _prime_order_candidates(N: PermGroup, H: PermGroup):
     """Elements of N of prime order modulo H, up to N-conjugacy.
 
@@ -98,31 +81,25 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup):
     return [o[0] for o in orbits(candidates, N.generators, Perm.conjugate)]
 
 
-def _prime_order_class_reps(G: PermGroup) -> list:
-    """Least members of G's classes of prime-order elements, sorted by
-    (class size, representative) as ``conjugacy_classes`` sorts them.
-
-    Only prime-order elements are conjugated: the classes of the others
-    are never walked.
-    """
-    if G.order() > CLASS_ENUMERATION_CAP:
-        raise SearchCapExceeded(
-            f"|G| = {G.order()} exceeds class enumeration cap")
-    prime = (y for y in G.elements() if is_prime(y.order()))
-    classes = sorted((len(o), o[0])
-                     for o in orbits(prime, G.generators, Perm.conjugate))
-    return [rep for _, rep in classes]
-
-
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
     """All conjugacy classes of Carter subgroups of G, by exhaustive search."""
     if G.order() > cap:
         raise SearchCapError(
             f"|G| = {G.order()} exceeds the full-search cap {cap}; "
             "use is_carter_witness for single candidates")
-    ledger = _ClassLedger(G)
+    buckets: dict[tuple, list[PermGroup]] = {}
+
+    def is_new(H: PermGroup) -> bool:
+        """Record H's class, bucketed by cheap invariants; True if new."""
+        key = (H.order(), H.orbit_signature(), _order_multiset(H))
+        bucket = buckets.setdefault(key, [])
+        if any(are_conjugate_subgroups(G, rep, H) is not None for rep in bucket):
+            return False
+        bucket.append(H)
+        return True
+
     trivial = PermGroup.trivial(G.degree)
-    ledger.register(trivial)
+    is_new(trivial)
     queue = deque([trivial])
     carter_reps = []
     while queue:
@@ -133,7 +110,8 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: prime-order class representatives of G itself
-            reps = _prime_order_class_reps(G)
+            prime = (y for y in G.elements() if is_prime(y.order()))
+            reps = [rep for _, rep in _classes(G, prime)]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise SearchCapError(
@@ -143,12 +121,10 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             K = PermGroup(H.generators + (x,), G.degree)
             if not is_nilpotent(K):
                 continue
-            if ledger.register(K):
+            if is_new(K):
                 queue.append(K)
-    result = SubgroupClassSet(G)
-    for rep in sorted(carter_reps, key=lambda R: (R.order(), _order_multiset(R))):
-        result.representatives.append(rep)
-    return result
+    return SubgroupClassSet(G, sorted(
+        carter_reps, key=lambda R: (R.order(), _order_multiset(R))))
 
 
 def check_syl2_criterion(G: PermGroup) -> bool:

@@ -33,8 +33,3 @@ def group_from_json(text: str) -> PermGroup:
 def load_group(path: str) -> PermGroup:
     with open(path, "r", encoding="utf-8") as fh:
         return group_from_json(fh.read())
-
-
-def save_group(G: PermGroup, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(group_to_json(G))

@@ -102,12 +102,27 @@ class Perm(tuple):
             out.append(tuple(cyc))
         return out
 
+    def _cycle_lengths(self) -> list:
+        """Lengths of the nontrivial cycles, as ``cycles()`` lists them."""
+        seen = [False] * len(self)
+        lengths = []
+        for i, j in enumerate(self):
+            if seen[i] or j == i:
+                continue
+            length = 1
+            while j != i:
+                seen[j] = True
+                length += 1
+                j = self[j]
+            lengths.append(length)
+        return lengths
+
     def cycle_type(self) -> tuple:
         """Sorted lengths of nontrivial cycles; a conjugacy invariant."""
-        return tuple(sorted(len(c) for c in self.cycles()))
+        return tuple(sorted(self._cycle_lengths()))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if not self.is_identity() else 1
+        return math.lcm(*self._cycle_lengths())
 
     def __str__(self) -> str:
         cycs = self.cycles()

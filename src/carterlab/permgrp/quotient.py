@@ -45,7 +45,6 @@ class QuotientProjection:
 
     G: PermGroup
     N: PermGroup
-    quotient: PermGroup
     _keys: tuple          # coset labels, in domain order
     _coset_index: dict    # label -> domain point
     _N_elements: tuple
@@ -77,11 +76,7 @@ def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, QuotientProje
     assert len(keys) == index
     ordered = tuple(sorted(keys))
     coset_index = {key: i for i, key in enumerate(ordered)}
-
-    def act(g: Perm) -> Perm:
-        return Perm(coset_index[coset_key(key * g)] for key in ordered)
-
-    quotient = PermGroup([act(g) for g in G.generators], max(index, 1))
+    projection = QuotientProjection(G, N, ordered, coset_index, n_elements)
+    quotient = projection.subgroup(G)
     assert quotient.order() == index
-    projection = QuotientProjection(G, N, quotient, ordered, coset_index, n_elements)
     return quotient, projection

@@ -161,14 +161,11 @@ def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
     return stab
 
 
-def subgroup_centralizer(G: PermGroup, H) -> PermGroup:
+def subgroup_centralizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """C_G(H), by intersecting element centralizers of H's generators.
 
-    Accepts a PermGroup or a single Perm.  Each step shrinks the acting
-    group, so later orbits are cheap.
+    Each step shrinks the acting group, so later orbits are cheap.
     """
-    if isinstance(H, Perm):
-        return element_centralizer(G, H)
     current = G
     for h in H.generators:
         current = element_centralizer(current, h)
@@ -247,10 +244,9 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
     """A g in G with H1^g = H2, or None.
 
-    Prunes by order, natural-orbit signature and element-order multiset,
-    then maps H1's orbit partition onto H2's and walks the fingerprint
-    orbit inside the stabilizer of H2's partition; pruning never changes
-    answers.
+    Prunes by order and natural-orbit signature, then maps H1's orbit
+    partition onto H2's and walks the fingerprint orbit inside the
+    stabilizer of H2's partition; pruning never changes answers.
     """
     for H in (H1, H2):
         if not H.is_subgroup_of(G):
@@ -262,8 +258,6 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
     fp1, fp2 = _fingerprint(H1), _fingerprint(H2)
     if fp1 == fp2:
         return Perm.identity(G.degree)
-    if sorted(x.order() for x in fp1) != sorted(x.order() for x in fp2):
-        return None
     # any conjugator maps part1 onto part2; after g does, the rest of
     # the search lies in Stab_G(part2)
     g = Perm.identity(G.degree)
@@ -289,14 +283,19 @@ def conjugacy_classes(G: PermGroup):
     representative is the lexicographically least element of its class.
     Classes are sorted by (size, representative).
     """
+    classes = [(rep, size) for size, rep in _classes(G, G.elements())]
+    assert sum(size for _, size in classes) == G.order()
+    return classes
+
+
+def _classes(G: PermGroup, elements) -> list:
+    """Sorted (size, least member) of the G-classes that make up
+    ``elements``; the other classes are never walked."""
     if G.order() > CLASS_ENUMERATION_CAP:
         raise SearchCapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
-    classes = [(cls[0], len(cls))
-               for cls in orbits(G.elements(), G.generators, Perm.conjugate)]
-    classes.sort(key=lambda c: (c[1], c[0]))
-    assert sum(size for _, size in classes) == G.order()
-    return classes
+    return sorted((len(o), o[0])
+                  for o in orbits(elements, G.generators, Perm.conjugate))
 
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,

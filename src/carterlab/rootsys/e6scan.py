@@ -43,7 +43,7 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
         return min(y, y * y)
 
     def order3_subgroups():
-        # cubing beats y.order(), which builds every cycle of y
+        # cubing beats y.order(), which walks every cycle of y
         one = C.identity()
         for y in C.elements():
             sq = y * y

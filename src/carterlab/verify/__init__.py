@@ -2,12 +2,11 @@
 
 from .report import (CheckCase, CheckFailure, CheckReport, Registry, SkipCase,
                      expect, parse_reports, render_reports, run_case_obj)
-from .registry import (CARTER_CATALOG, NORM2SYL_QS, REGISTRY, list_cases,
-                       regenerate_derived, run_all, run_case)
+from .registry import (CARTER_CATALOG, NORM2SYL_QS, REGISTRY,
+                       regenerate_derived)
 
 __all__ = [
     "CheckCase", "CheckFailure", "CheckReport", "Registry", "SkipCase",
     "expect", "parse_reports", "render_reports", "run_case_obj",
-    "CARTER_CATALOG", "NORM2SYL_QS", "REGISTRY", "list_cases",
-    "regenerate_derived", "run_all", "run_case",
+    "CARTER_CATALOG", "NORM2SYL_QS", "REGISTRY", "regenerate_derived",
 ]

@@ -17,8 +17,8 @@ from ..permgrp.carter import (carter_class_containing_sylow2, carter_subgroups,
                               check_syl2_criterion, is_carter_witness)
 from ..permgrp.group import PermGroup
 from ..permgrp.quotient import quotient_group
-from ..permgrp.search import (are_conjugate_elements, orbits,
-                              subgroup_centralizer, subgroup_normalizer)
+from ..permgrp.search import (are_conjugate_elements, element_centralizer,
+                              orbits, subgroup_centralizer, subgroup_normalizer)
 from ..permgrp.sylow import p_part, sylow_subgroup
 from ..rootsys.e6scan import e6_centralizer_scan
 from ..rootsys.roots import (highest_root, is_closed_abelian, omega_fixed_roots,
@@ -416,7 +416,7 @@ def _register_semilinear_cases():
         rg = realize("PSL(2,27)")
         G = rg.group
         frob = frobenius_perm(rg.action)
-        fixed = subgroup_centralizer(G, frob)
+        fixed = element_centralizer(G, frob)
         expect(fixed.order() == 12, f"fixed subgroup order {fixed.order()} != 12")
         S = sylow_subgroup(fixed, 2)
         expect(S.order() == p_part(G.order(), 2) == 4,
@@ -516,18 +516,6 @@ _register_suites()
 _register_element_cases()
 _register_root_cases()
 _register_semilinear_cases()
-
-
-def list_cases(tier: str | None = None):
-    return REGISTRY.list_cases(tier)
-
-
-def run_case(case_id: str):
-    return REGISTRY.run_case(case_id)
-
-
-def run_all(tier: str | None = None):
-    return REGISTRY.run_all(tier)
 
 
 def regenerate_derived() -> dict:

@@ -7,10 +7,13 @@ order so exhaustive scans stay fast.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from carterlab.linear.groupspec import realize
-from carterlab.verify import run_all
+from carterlab.permgrp.group import PermGroup
+from carterlab.verify import REGISTRY
 
 CORPUS_SPECS = [
     "Sym(3)", "Sym(4)", "Sym(5)", "Sym(6)",
@@ -33,6 +36,20 @@ def corpus_upto(corpus, cap):
     return {spec: G for spec, G in corpus.items() if G.order() <= cap}
 
 
+def random_subgroups(corpus, seed, per_group):
+    """Seeded draws of proper subgroups <1 to 3 random elements> of the
+    corpus groups of order at most 2000, as (spec, G, H, rng)."""
+    rng = random.Random(seed)
+    for spec, G in corpus_upto(corpus, 2000).items():
+        drawn = 0
+        while drawn < per_group:
+            gens = [G.random_element(rng) for _ in range(rng.randint(1, 3))]
+            H = PermGroup(gens, G.degree)
+            if H.order() < G.order():
+                drawn += 1
+                yield spec, G, H, rng
+
+
 @pytest.fixture(scope="session")
 def quick_reports():
-    return run_all("quick")
+    return REGISTRY.run_all("quick")

@@ -21,7 +21,7 @@ import pathlib
 from carterlab.cli import main
 from carterlab.linear.groupspec import realize
 from carterlab.permgrp.io import group_to_json
-from carterlab.verify import CARTER_CATALOG, list_cases
+from carterlab.verify import CARTER_CATALOG, REGISTRY
 
 from conftest import CORPUS_SPECS
 
@@ -70,7 +70,7 @@ def catalog_specs() -> list:
 
 def group_specs() -> list:
     specs = list(CORPUS_SPECS)
-    for case in list_cases():
+    for case in REGISTRY.list_cases():
         specs += case.group_specs
     return list(dict.fromkeys(specs + HYPERPLANE_SPECS))
 

@@ -31,7 +31,7 @@ from carterlab.rootsys.roots import (SUPPORTED, is_closed_abelian,
                                      omega_fixed_roots, root_system)
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
                                     identity_twist, torus_order, weyl_group)
-from carterlab.verify import run_case
+from carterlab.verify import REGISTRY
 
 from conftest import corpus_upto
 
@@ -191,9 +191,9 @@ def test_criterion_10_property_suites():
     for cid in ("carter-quotient-suite", "criterion-equivalence-suite",
                 "inh-2ext-suite", "syl2-fieldaut-psl2-27",
                 "conj-automorphisms-pgammal28"):
-        r = run_case(cid)
+        r = REGISTRY.run_case(cid)
         assert r.status == "pass", (cid, r.details)
-    skip = run_case("syl2-fieldaut-psl2-8")
+    skip = REGISTRY.run_case("syl2-fieldaut-psl2-8")
     assert skip.status == "skip" and "odd characteristic" in skip.reason
     budget.done("quotient, criterion, 2-extension, field-automorphism and "
                 "complement-conjugacy suites pass (q=8 documented skip)")
@@ -201,10 +201,10 @@ def test_criterion_10_property_suites():
 
 def test_criterion_11_full_tier_psl2_27():
     budget = Budget("criterion 11 (semilinear PSL(2,27))", 7200.0)
-    witness = run_case("pgammal-2-27-witness")
+    witness = REGISTRY.run_case("pgammal-2-27-witness")
     assert witness.status == "pass", witness.details
     assert witness.metrics["witness_order"] == 81
-    search = run_case("pgammal-2-27-search")
+    search = REGISTRY.run_case("pgammal-2-27-search")
     assert search.status in ("pass", "skip")
     if search.status == "skip":
         assert search.reason, "full-search skip requires a reason"

@@ -23,3 +23,12 @@ def test_every_traced_name_resolves(monkeypatch):
             missing.append(f"{module}.{attr}")
     assert tracer.SPANS and tracer.COUNTS
     assert not missing
+
+
+def test_tracer_selftest_finds_no_problems(monkeypatch):
+    """``perfbench/child.py selftest`` traces the Carter search of Sym(4):
+    every binding the benchmark's trace runs rely on must be wrapped, give
+    the untraced answer and be restored."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = importlib.import_module("child")
+    assert child.selftest() == []

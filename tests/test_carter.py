@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from conftest import CORPUS_SPECS
+from conftest import CORPUS_SPECS, corpus_upto, random_subgroups
 from carterlab.permgrp import bruteforce
 from carterlab.permgrp.bruteforce import (all_subgroups, brute_carter_classes,
-                                          brute_subgroup_conjugator)
+                                          brute_centralizer, brute_normalizer,
+                                          brute_subgroup_conjugator,
+                                          closure_order)
 from carterlab.permgrp.carter import (SearchCapError,
                                       carter_class_containing_sylow2,
                                       carter_subgroups, check_syl2_criterion,
@@ -186,6 +188,41 @@ def test_witness_rejects_non_carter(groups):
     assert not is_carter_witness(S4, S4)  # not nilpotent
     with pytest.raises(ValueError):
         is_carter_witness(groups["Alt(4)"], PermGroup([Perm.from_cycles(4, [(0, 1)])], 4))
+
+
+def test_criterion_matches_oracle_on_random_subgroups(corpus):
+    """check_syl2_criterion(H) against N_H(S) and C_H(S) scanned by brute
+    force and <S, C_H(S)> closed by brute force, S the engine's Sylow
+    2-subgroup of a seeded random subgroup H."""
+    verdicts = {True: 0, False: 0}
+    for spec, _, H, _ in random_subgroups(corpus, 16, 12):
+        S = sylow_subgroup(H, 2)
+        N = brute_normalizer(H, S)
+        C = brute_centralizer(H, S.generators)
+        oracle = closure_order(S.generators + C.generators, H.degree) == N.order()
+        assert check_syl2_criterion(H) == oracle, (spec, H.generators)
+        verdicts[oracle] += 1
+    assert min(verdicts.values()) >= 15, verdicts
+
+
+def test_witness_matches_oracle_on_random_subgroups(corpus):
+    """is_carter_witness(G, K) against a brute nilpotency count and
+    N_G(K) scanned by brute force, on seeded random subgroups and on the
+    oracle's own Carter representatives, so that both verdicts occur."""
+    draws = [(spec, G, H) for spec, G, H, _ in random_subgroups(corpus, 17, 3)]
+    for spec, G in corpus_upto(corpus, 120).items():
+        draws += [(spec, G, K) for K in brute_carter_classes(G)]
+    kinds = {"carter": 0, "not self-normalizing": 0, "not nilpotent": 0}
+    for spec, G, K in draws:
+        if not bruteforce._brute_nilpotent(set(K.elements()), K.degree):
+            kind = "not nilpotent"
+        elif brute_normalizer(G, K).order() > K.order():
+            kind = "not self-normalizing"
+        else:
+            kind = "carter"
+        assert is_carter_witness(G, K) == (kind == "carter"), (spec, K.generators)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_search_cap():

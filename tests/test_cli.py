@@ -90,8 +90,8 @@ def test_carter_cap_exit_code(capsys):
 
 
 def test_carter_beyond_class_cap_exits_3(capsys, monkeypatch):
-    from carterlab.permgrp import carter
-    monkeypatch.setattr(carter, "CLASS_ENUMERATION_CAP", 100)     # |Sym(5)| = 120
+    from carterlab.permgrp import search
+    monkeypatch.setattr(search, "CLASS_ENUMERATION_CAP", 100)     # |Sym(5)| = 120
     code, _, err = run_cli(capsys, "carter", "Sym(5)")
     assert code == 3 and "cap" in err
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -94,6 +95,19 @@ def test_products_of_degree_below_two():
     assert all(x == (0,) for x in images)
     assert images[0] * images[1] == (0,)
     assert proj.subgroup(G).order() == 1
+
+
+def test_order_and_cycle_type_match_cycles():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 3, 5, 8, 13, 28):
+        for _ in range(40):
+            x = Perm(rng.sample(range(n), n))
+            lengths = [len(c) for c in x.cycles()]
+            assert x.cycle_type() == tuple(sorted(lengths)), x
+            assert x.order() == math.lcm(*lengths), x
+            assert (x ** x.order()).is_identity(), x
+    assert Perm.identity(0).order() == Perm.identity(1).order() == 1
+    assert Perm.identity(1).cycle_type() == ()
 
 
 def test_parse_perm_roundtrip():

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from conftest import corpus_upto
+from carterlab.permgrp.bruteforce import (brute_carter_classes,
+                                          brute_subgroup_conjugator)
 from carterlab.permgrp.carter import carter_subgroups, is_carter_witness
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp import quotient
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import (IndexCapExceeded, NotNormalError,
                                         is_normal, quotient_group)
+from carterlab.permgrp.sylow import normal_closure
 
 
 def V4():
@@ -64,3 +68,31 @@ def test_carter_image_is_carter_downstairs():
     Q, proj = quotient_group(S4, V4())
     for K in carter_subgroups(S4).representatives:
         assert is_carter_witness(Q, proj.subgroup(K))
+
+
+def test_quotients_by_random_normal_closures(corpus):
+    """G/N for N the normal closure of a seeded random element: its order
+    is |G|/|N|, the projection is a homomorphism with kernel N, and the
+    engine's Carter representatives of G map onto Carter subgroups of
+    G/N, each conjugate to exactly one of the oracle's."""
+    rng = random.Random(18)
+    proper = images = 0
+    for spec, G in corpus_upto(corpus, 200).items():
+        reps = carter_subgroups(G).representatives
+        for _ in range(3):
+            N = normal_closure(G, [G.random_element(rng)])
+            Q, proj = quotient_group(G, N)
+            assert Q.order() * N.order() == G.order(), spec
+            assert all(proj(n).is_identity() for n in N.generators), spec
+            for _ in range(5):
+                a, b = G.random_element(rng), G.random_element(rng)
+                assert proj(a * b) == proj(a) * proj(b), spec
+            proper += 1 < N.order() < G.order()
+            oracle = brute_carter_classes(Q)
+            for K in reps:
+                image = proj.subgroup(K)
+                found = [C for C in oracle
+                         if brute_subgroup_conjugator(Q, image, C) is not None]
+                assert len(found) == 1, (spec, N.order(), K.generators)
+                images += 1 < Q.order()
+    assert proper >= 20 and images >= 25, (proper, images)

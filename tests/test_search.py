@@ -4,7 +4,6 @@ import pytest
 
 from carterlab.permgrp import bruteforce as bf
 from carterlab.permgrp import search
-from carterlab.permgrp.carter import _prime_order_class_reps
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import (are_conjugate_elements,
@@ -16,7 +15,7 @@ from carterlab.permgrp.sylow import is_prime
 from carterlab.rootsys.roots import root_system
 from carterlab.rootsys.weyl import weyl_group
 
-from conftest import corpus_upto
+from conftest import corpus_upto, random_subgroups
 
 
 def S(n):
@@ -61,22 +60,9 @@ def test_normalizer_matches_brute_force_on_corpus(corpus):
             assert fast.same_group_as(slow), spec
 
 
-def _random_subgroups(corpus, seed, per_group):
-    """Seeded draws of proper subgroups <1 to 3 random elements>."""
-    rng = random.Random(seed)
-    for spec, G in corpus_upto(corpus, 2000).items():
-        drawn = 0
-        while drawn < per_group:
-            gens = [G.random_element(rng) for _ in range(rng.randint(1, 3))]
-            H = PermGroup(gens, G.degree)
-            if H.order() < G.order():
-                drawn += 1
-                yield spec, G, H, rng
-
-
 def test_normalizer_matches_brute_force_on_random_subgroups(corpus):
     kinds = {"transitive": 0, "intransitive": 0, "fixed points": 0}
-    for spec, G, H, _ in _random_subgroups(corpus, 11, 4):
+    for spec, G, H, _ in random_subgroups(corpus, 11, 4):
         orbit_lengths = [len(o) for o in H.natural_orbits()]
         kinds["transitive" if len(orbit_lengths) == 1 else "intransitive"] += 1
         kinds["fixed points"] += 1 in orbit_lengths
@@ -88,7 +74,7 @@ def test_normalizer_matches_brute_force_on_random_subgroups(corpus):
 
 def test_subgroup_conjugator_maps_onto_random_conjugate(corpus):
     moved = 0
-    for spec, G, H, rng in _random_subgroups(corpus, 12, 6):
+    for spec, G, H, rng in random_subgroups(corpus, 12, 6):
         g = G.random_element(rng)
         Hg = PermGroup([h.conjugate(g) for h in H.generators], G.degree)
         moved += H.natural_orbits() != Hg.natural_orbits()
@@ -101,7 +87,7 @@ def test_subgroup_conjugator_maps_onto_random_conjugate(corpus):
 
 def test_subgroup_conjugacy_matches_brute_on_equal_orders(corpus):
     by_group = {}
-    for spec, G, H, _ in _random_subgroups(corpus, 13, 12):
+    for spec, G, H, _ in random_subgroups(corpus, 13, 12):
         by_group.setdefault(spec, (G, []))[1].append(H)
     verdicts = {True: 0, False: 0}
     for spec, (G, subgroups) in by_group.items():
@@ -137,7 +123,7 @@ def test_moved_label_vector_encodes_moved_orbits(corpus):
     """Moving H's orbit partition by g gives H^g's orbit partition, in the
     same canonical form, for g in G, in H, or anywhere in Sym(n)."""
     kinds = {"in G": 0, "in H": 0, "in Sym(n)": 0, "moved": 0}
-    for spec, G, H, rng in _random_subgroups(corpus, 14, 4):
+    for spec, G, H, rng in random_subgroups(corpus, 14, 4):
         lab = search._orbit_partition(H)
         assert _cells(lab) == {frozenset(o) for o in H.natural_orbits()}, spec
         for kind, g in (("in G", G.random_element(rng)),
@@ -160,7 +146,7 @@ def test_moved_label_vector_encodes_moved_orbits(corpus):
 def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
     verdicts = {True: 0, False: 0}
     by_degree = {}
-    for spec, G, H, rng in _random_subgroups(corpus, 15, 3):
+    for spec, G, H, rng in random_subgroups(corpus, 15, 3):
         lab = search._orbit_partition(H)
         labs = by_degree.setdefault(G.degree, [])
         labs += [lab, search._move_partition(lab, H.random_element(rng)),
@@ -176,13 +162,15 @@ def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
 
 
 def test_first_layer_is_the_prime_order_classes(corpus):
-    """The Carter search's first layer lists the prime-order classes of
+    """The class lister fed only prime-order elements, as the Carter
+    search's first layer feeds it, gives the prime-order classes of
     ``conjugacy_classes`` without walking the other classes."""
     layers = 0
     for spec, G in corpus.items():
-        expected = [rep for rep, _ in conjugacy_classes(G)
+        expected = [(size, rep) for rep, size in conjugacy_classes(G)
                     if is_prime(rep.order())]
-        assert _prime_order_class_reps(G) == expected, spec
+        prime = (y for y in G.elements() if is_prime(y.order()))
+        assert search._classes(G, prime) == expected, spec
         layers += len(expected) > 1
     assert layers >= 25, layers
 
@@ -190,10 +178,10 @@ def test_first_layer_is_the_prime_order_classes(corpus):
 # ---------------------------------------------------------------- centralizer
 
 def test_centralizer_corpus_examples():
-    assert subgroup_centralizer(S(4), cyc(4, (0, 1), (2, 3))).order() == 8
-    assert subgroup_centralizer(S(5), cyc(5, (0, 1, 2))).order() == 6
+    assert element_centralizer(S(4), cyc(4, (0, 1), (2, 3))).order() == 8
+    assert element_centralizer(S(5), cyc(5, (0, 1, 2))).order() == 6
     G = S(4)
-    assert subgroup_centralizer(G, Perm.identity(4)).same_group_as(G)
+    assert element_centralizer(G, Perm.identity(4)).same_group_as(G)
 
 
 def test_centralizer_matches_brute_force_on_corpus(corpus):
@@ -207,7 +195,7 @@ def test_centralizer_matches_brute_force_on_corpus(corpus):
                             (6, (6,), 6), (7, (2, 2, 3), 24), (6, (2, 2), 16)]:
         starts = [sum(ctype[:i]) for i in range(len(ctype))]
         y = cyc(n, *(tuple(range(s, s + l)) for s, l in zip(starts, ctype)))
-        fast = subgroup_centralizer(S(n), y)
+        fast = element_centralizer(S(n), y)
         assert fast.order() == order, (n, ctype)
         assert fast.same_group_as(bf.brute_centralizer(S(n), y)), (n, ctype)
 

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from carterlab.verify import (CARTER_CATALOG, CheckReport, list_cases,
+from carterlab.verify import (CARTER_CATALOG, REGISTRY, CheckReport,
                               parse_reports, regenerate_derived,
-                              render_reports, run_case)
+                              render_reports)
 
 
 def test_case_ids_unique_and_anchored():
-    cases = list_cases()
+    cases = REGISTRY.list_cases()
     ids = [c.id for c in cases]
     assert len(ids) == len(set(ids))
     assert all(c.anchor for c in cases)
@@ -16,18 +16,18 @@ def test_case_ids_unique_and_anchored():
 
 
 def test_tier_filtering():
-    quick = {c.id for c in list_cases("quick")}
-    full = {c.id for c in list_cases("full")}
+    quick = {c.id for c in REGISTRY.list_cases("quick")}
+    full = {c.id for c in REGISTRY.list_cases("full")}
     assert "norm2syl-psl2-7" in quick
     assert "pgammal-2-27-witness" in full
     assert not quick & full
     with pytest.raises(ValueError):
-        list_cases("weekly")
+        REGISTRY.list_cases("weekly")
 
 
 def test_unknown_case_id():
     with pytest.raises(KeyError):
-        run_case("definitely-not-a-case")
+        REGISTRY.run_case("definitely-not-a-case")
 
 
 def test_empty_registry_runs_to_empty_list():
@@ -45,7 +45,7 @@ def test_duplicate_case_ids_rejected():
 
 
 def test_single_case_runs_and_replays():
-    r = run_case("norm2syl-psl2-7")
+    r = REGISTRY.run_case("norm2syl-psl2-7")
     assert r.status == "pass"
     assert r.metrics["order"] == 168
     assert r.metrics["ms"] >= 0
@@ -54,7 +54,7 @@ def test_single_case_runs_and_replays():
 def test_explicit_skips_carry_reasons():
     for cid in ("carter-semilinear-2g2", "syl2-fieldaut-psl2-8",
                 "carter-semilinear-2a2-witness"):
-        r = run_case(cid)
+        r = REGISTRY.run_case(cid)
         assert r.status == "skip" and r.reason, cid
 
 
@@ -66,12 +66,13 @@ def test_every_cap_overrun_is_a_skip(monkeypatch):
         raise IndexCapExceeded("index 7 exceeds cap 6")
 
     monkeypatch.setattr(registry, "quotient_group", over_cap)
-    r = run_case("carter-quotient-suite")
+    r = REGISTRY.run_case("carter-quotient-suite")
     assert (r.status, r.reason) == ("skip", "index 7 exceeds cap 6")
 
 
 def test_report_json_round_trip():
-    reports = [run_case("psl23-power"), run_case("carter-semilinear-2g2")]
+    reports = [REGISTRY.run_case("psl23-power"),
+               REGISTRY.run_case("carter-semilinear-2g2")]
     text = render_reports(reports, "json")
     parsed = parse_reports(text)
     assert [p.to_dict() for p in parsed] == [r.to_dict() for r in reports]
@@ -93,9 +94,9 @@ def _without_ms(report):
 
 
 def test_run_all_matches_run_case(quick_reports):
-    assert [r.id for r in quick_reports] == [c.id for c in list_cases("quick")]
+    assert [r.id for r in quick_reports] == [c.id for c in REGISTRY.list_cases("quick")]
     for r in quick_reports:
-        assert _without_ms(run_case(r.id)) == _without_ms(r), r.id
+        assert _without_ms(REGISTRY.run_case(r.id)) == _without_ms(r), r.id
 
 
 @pytest.mark.slow
@@ -110,12 +111,12 @@ def test_catalog_expectations_match_oracle_regeneration():
 
 
 def test_catalog_group_specs_present():
-    for c in list_cases():
+    for c in REGISTRY.list_cases():
         assert isinstance(c.group_specs, tuple)
 
 
 def test_quick_cases_stay_within_five_times_budget(quick_reports):
-    by_id = {c.id: c for c in list_cases("quick")}
+    by_id = {c.id: c for c in REGISTRY.list_cases("quick")}
     for r in quick_reports:
         if r.status == "skip":
             continue
