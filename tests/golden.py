@@ -94,6 +94,9 @@ SECTIONS = {
                       for t, twist in TORUS_CASES},
     "roots": lambda: {f"{query} {t}": cli_json("roots", query, t)
                       for query, t in ROOTS_CASES},
+    # case ids, tiers, descriptions and anchors
+    "check list": lambda: {"text": cli_text("check", "list").splitlines(),
+                           "json": cli_json("check", "list")},
 }
 
 
