@@ -8,7 +8,7 @@
     carter-lab group info <group-spec>
 
 Exit codes: 0 all pass, 1 at least one fail, 2 usage, parse or file
-error, 3 a size cap exceeded.
+error, 3 a size cap exceeded, 4 a check case crashed.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import sys
 
 from .errors import CapExceeded
 from .linear.groupspec import GroupSpecError, realize
-from .permgrp.carter import carter_subgroups
+from .permgrp.carter import FULL_SEARCH_CAP, carter_subgroups
 from .rootsys.roots import omega_fixed_roots, root_system
 from .rootsys.subsystems import borel_de_siebenthal
 from .rootsys.weyl import (check_field_size, f_conjugacy_classes,
                            twist_by_name, weyl_group)
 from .verify import REGISTRY, render_reports
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP, EXIT_ERROR = 0, 1, 2, 3, 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,43 +34,39 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="carter-lab",
         description="desk-scale checks for Carter-subgroup criteria")
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
     check = sub.add_parser("check", help="run registered claim checks")
     check_sub = check.add_subparsers(dest="check_command", required=True)
-    run = check_sub.add_parser("run", help="run one case or all")
+    run = check_sub.add_parser("run", parents=[fmt], help="run one case or all")
     run.add_argument("case_id", help="a case id, or 'all'")
     run.add_argument("--tier", choices=("quick", "full"), default=None)
-    run.add_argument("--format", choices=("text", "json"), default="text")
-    lst = check_sub.add_parser("list", help="list registered cases")
+    lst = check_sub.add_parser("list", parents=[fmt], help="list registered cases")
     lst.add_argument("--tier", choices=("quick", "full"), default=None)
-    lst.add_argument("--format", choices=("text", "json"), default="text")
 
-    carter = sub.add_parser("carter", help="full Carter-class search")
+    carter = sub.add_parser("carter", parents=[fmt], help="full Carter-class search")
     carter.add_argument("group_spec")
-    carter.add_argument("--cap", type=int, default=100_000,
+    carter.add_argument("--cap", type=int, default=FULL_SEARCH_CAP,
                         help="full-search order cap")
-    carter.add_argument("--format", choices=("text", "json"), default="text")
 
     roots = sub.add_parser("roots", help="root-system queries")
     roots_sub = roots.add_subparsers(dest="roots_command", required=True)
-    subsys = roots_sub.add_parser("subsystems")
+    subsys = roots_sub.add_parser("subsystems", parents=[fmt])
     subsys.add_argument("type_label", metavar="type", help="e.g. G2, C2, E6")
-    subsys.add_argument("--format", choices=("text", "json"), default="text")
-    omega = roots_sub.add_parser("omega")
+    omega = roots_sub.add_parser("omega", parents=[fmt])
     omega.add_argument("type_label", metavar="type")
-    omega.add_argument("--format", choices=("text", "json"), default="text")
 
-    torus = sub.add_parser("torus", help="maximal-torus classes and orders")
+    torus = sub.add_parser("torus", parents=[fmt],
+                           help="maximal-torus classes and orders")
     torus.add_argument("type_label", metavar="type")
     torus.add_argument("--twist", choices=("id", "flip", "triality"), default="id")
     torus.add_argument("--q", type=int, required=True)
-    torus.add_argument("--format", choices=("text", "json"), default="text")
 
     group = sub.add_parser("group", help="group realization queries")
     group_sub = group.add_subparsers(dest="group_command", required=True)
-    info = group_sub.add_parser("info")
+    info = group_sub.add_parser("info", parents=[fmt])
     info.add_argument("group_spec")
-    info.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -97,7 +93,10 @@ def _cmd_check(args) -> int:
     else:
         reports = [REGISTRY.run_case(args.case_id)]
     print(render_reports(reports, args.format))
-    return EXIT_FAIL if any(r.status == "fail" for r in reports) else EXIT_PASS
+    statuses = {r.status for r in reports}
+    if "error" in statuses:
+        return EXIT_ERROR
+    return EXIT_FAIL if "fail" in statuses else EXIT_PASS
 
 
 def _cmd_carter(args) -> int:
@@ -195,6 +194,10 @@ def _cmd_group(args) -> int:
     return EXIT_PASS
 
 
+_COMMANDS = {"check": _cmd_check, "carter": _cmd_carter, "roots": _cmd_roots,
+             "torus": _cmd_torus, "group": _cmd_group}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -202,26 +205,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "carter":
-            return _cmd_carter(args)
-        if args.command == "roots":
-            return _cmd_roots(args)
-        if args.command == "torus":
-            return _cmd_torus(args)
-        if args.command == "group":
-            return _cmd_group(args)
-    except GroupSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..permgrp.sylow import prime_factors
 from .gf import FiniteField, field_make
 from .matrix import Matrix
 
@@ -55,17 +56,13 @@ class ClassicalGroupSpec:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = primes[0], 1
+    while p ** k < q:
+        k += 1
+    return p, k
 
 
 def form_matrix(spec: ClassicalGroupSpec) -> Matrix | None:

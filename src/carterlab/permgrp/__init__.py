@@ -1,6 +1,6 @@
 """Permutation-group engine: stabilizer chains, searches, Carter tools."""
 
-from .perm import Perm, parse_perm
+from .perm import Perm
 from .group import PermGroup, DegreeMismatchError
 from .search import (
     are_conjugate_elements,
@@ -31,7 +31,7 @@ from .carter import (
 from .io import group_from_json, group_to_json, load_group
 
 __all__ = [
-    "Perm", "parse_perm", "PermGroup", "DegreeMismatchError",
+    "Perm", "PermGroup", "DegreeMismatchError",
     "are_conjugate_elements", "are_conjugate_subgroups",
     "conjugacy_classes", "element_centralizer", "subgroup_centralizer",
     "subgroup_normalizer",

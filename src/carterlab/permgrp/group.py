@@ -121,15 +121,15 @@ class PermGroup:
             self._levels[i].extend_orbit()
         return m
 
-    def _strip(self, g: Perm, start: int = 0):
-        """Sift g through levels >= start; return (residue, stop level)."""
+    def _strip(self, g: Perm, start: int = 0) -> Perm:
+        """Sift g through levels >= start; return the residue."""
         for i in range(start, len(self._levels)):
             lv = self._levels[i]
             p = g[lv.beta]
             if p not in lv.transversal:
-                return g, i
+                return g
             g = g * lv.inverse[p]
-        return g, len(self._levels)
+        return g
 
     def _schreier_sims(self):
         for g in self.generators:
@@ -145,7 +145,7 @@ class PermGroup:
                     schreier = u * s * lv.inverse[q]
                     if schreier.is_identity():
                         continue
-                    residue, _ = self._strip(schreier, i + 1)
+                    residue = self._strip(schreier, i + 1)
                     if not residue.is_identity():
                         i = self._insert_generator(residue)
                         complete = False
@@ -184,8 +184,7 @@ class PermGroup:
     def sift(self, g: Perm) -> Perm:
         if len(g) != self.degree:
             raise DegreeMismatchError(f"degree {len(g)} != {self.degree}")
-        residue, _ = self._strip(g if isinstance(g, Perm) else Perm(g))
-        return residue
+        return self._strip(g if isinstance(g, Perm) else Perm(g))
 
     def __contains__(self, g) -> bool:
         return self.sift(g).is_identity()

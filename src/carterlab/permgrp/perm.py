@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from operator import itemgetter
 
 
@@ -138,21 +137,3 @@ class Perm(tuple):
 def _identity(degree: int) -> Perm:
     return tuple.__new__(Perm, range(degree))
 
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_perm(text: str, degree: int) -> Perm:
-    """Parse cycle notation like ``(0 1 2)(3 4)``; whitespace or commas split."""
-    stripped = text.replace(",", " ").strip()
-    if stripped in ("", "()"):
-        return Perm.identity(degree)
-    consumed = _CYCLE_RE.sub("", stripped).strip()
-    if consumed:
-        raise ValueError(f"could not parse permutation {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(stripped):
-        pts = [int(tok) for tok in body.split()]
-        if pts:
-            cycles.append(pts)
-    return Perm.from_cycles(degree, cycles)

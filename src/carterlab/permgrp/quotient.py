@@ -44,7 +44,6 @@ class QuotientProjection:
     """Maps elements/subgroups of G onto the coset realization of G/N."""
 
     G: PermGroup
-    N: PermGroup
     _keys: tuple          # coset labels, in domain order
     _coset_index: dict    # label -> domain point
     _N_elements: tuple
@@ -76,7 +75,7 @@ def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, QuotientProje
     assert len(keys) == index
     ordered = tuple(sorted(keys))
     coset_index = {key: i for i, key in enumerate(ordered)}
-    projection = QuotientProjection(G, N, ordered, coset_index, n_elements)
+    projection = QuotientProjection(G, ordered, coset_index, n_elements)
     quotient = projection.subgroup(G)
     assert quotient.order() == index
     return quotient, projection

@@ -12,9 +12,9 @@ order is known in advance (a centralizer of an element whose class size
 is known), each point's edges are harvested as soon as the point is
 expanded, and the walk itself stops when that order is reached; the
 Schreier generators are tried in the same order either way, so the
-stabilizer's generators are the same.  Each job needs one walk mode:
-normalizers and centralizers harvest a stabilizer, while conjugacy
-tests search for a target point and keep no edges.
+stabilizer's generators are the same.  Normalizers and centralizers
+harvest a stabilizer (``_stabilizer``); conjugacy tests search for a
+target point and keep no edges (``_orbit_search``).
 
 Subgroup normalizers and subgroup conjugacy first refine by the orbit
 partition of H (its orbits on the domain, fixed points included).  Any
@@ -49,64 +49,69 @@ SUBGROUP_FINGERPRINT_CAP = 10_000
 CLASS_ENUMERATION_CAP = 1_000_000
 
 
-def _orbit_stabilizer(G: PermGroup, start, act, seed_gens=(), stop_at=None,
-                      _order=None):
-    """Generic orbit walk with transversal bookkeeping.
+def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
+    """Stab_G(start), where ``act(point, g)`` applies generator g.
 
-    ``act(point, g)`` applies generator g; returns ``(stabilizer,
-    orbit_transversal, hit)``.
-
-    Given ``stop_at``, the walk is a pure orbit search: it keeps no
-    edges, harvests no stabilizer (returned as None), and stops at
-    ``stop_at`` with ``hit`` the transversal element reaching it (None
-    if the orbit does not contain it).
-
-    Otherwise Schreier generators are harvested from the non-tree
-    edges, in walk order, onto ``seed_gens`` until the stabilizer has
-    order |G| / |orbit|.  Without ``_order`` the whole orbit is walked
-    first.  Given ``_order``, the stabilizer's order, each point's
+    Schreier generators are harvested from the non-tree edges of the
+    orbit walk, in walk order, onto ``seed_gens`` until the stabilizer
+    has order |G| / |orbit|.  Without ``order`` the whole orbit is
+    walked first.  Given ``order``, the stabilizer's order, each point's
     edges are harvested once the point is expanded and the walk stops
-    when the stabilizer reaches ``_order``; the transversal then covers
-    only the points walked.
+    when the stabilizer reaches ``order``.
     """
     gens = G.generators
-    collect = stop_at is None
     transversal = {start: Perm.identity(G.degree)}
     queue = [start]
     # non-tree edges as (u, s, known): keeping the transversal element
     # rather than the fresh image keeps no second copy of an orbit point
     edges = []
-    stab = None if _order is None else PermGroup(seed_gens, G.degree)
+    stab = None if order is None else PermGroup(seed_gens, G.degree)
     for point in queue:     # the list grows while it is walked
         u = transversal[point]
         for s in gens:
             image = act(point, s)
             known = transversal.get(image)
             if known is None:
-                v = u * s
-                if image == stop_at:
-                    return None, transversal, v
-                transversal[image] = v
+                transversal[image] = u * s
                 queue.append(image)
-            elif collect:
+            else:
                 edges.append((u, s, known))
-        if _order is not None:
-            stab = _harvest(stab, edges, _order)
+        if order is not None:
+            stab = _harvest(stab, edges, order)
             edges.clear()
-            if stab.order() == _order:
+            if stab.order() == order:
                 break
-    if not collect:
-        return None, transversal, None
     if stab is None:
         # a full walk builds the chain only now: built before the walk, it
         # fragments the heap, and the quick tier peaks 1 MB higher
         stab = PermGroup(seed_gens, G.degree)
-    target = G.order() // len(transversal) if _order is None else _order
-    stab = _harvest(stab, edges, target)
+        order = G.order() // len(transversal)
+    stab = _harvest(stab, edges, order)
     # a walk that ran to the end holds the whole stabilizer, of order
-    # |G| / |orbit|: given _order, this checks the orbit's length
-    assert stab.order() == target
-    return stab, transversal, None
+    # |G| / |orbit|: given ``order``, this checks the orbit's length
+    assert stab.order() == order
+    return stab
+
+
+def _orbit_search(G: PermGroup, start, act, target):
+    """A g in G taking ``start`` to ``target`` under ``act``, or None.
+
+    The walk keeps no edges and stops at ``target``; g is the
+    transversal element that reaches it.
+    """
+    transversal = {start: Perm.identity(G.degree)}
+    queue = [start]
+    for point in queue:     # the list grows while it is walked
+        u = transversal[point]
+        for s in G.generators:
+            image = act(point, s)
+            if image not in transversal:
+                v = u * s
+                if image == target:
+                    return v
+                transversal[image] = v
+                queue.append(image)
+    return None
 
 
 def _harvest(stab: PermGroup, edges, target: int) -> PermGroup:
@@ -157,8 +162,7 @@ def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
     """C_G(x); x need not lie in G (it must share G's degree)."""
     if len(x) != G.degree:
         raise ValueError("degree mismatch")
-    stab, _, _ = _orbit_stabilizer(G, x, Perm.conjugate)
-    return stab
+    return _stabilizer(G, x, Perm.conjugate)
 
 
 def subgroup_centralizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -209,9 +213,8 @@ def _move_partition(lab: tuple, g: Perm) -> tuple:
 
 def _partition_stabilizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """Stab_G of H's orbit partition; it contains N_G(H) and H itself."""
-    K, _, _ = _orbit_stabilizer(G, _orbit_partition(H), _move_partition,
-                                seed_gens=H.generators)
-    return K
+    return _stabilizer(G, _orbit_partition(H), _move_partition,
+                       seed_gens=H.generators)
 
 
 def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -224,9 +227,7 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     K = _partition_stabilizer(G, H)
     if K.order() == H.order():
         return K
-    stab, _, _ = _orbit_stabilizer(K, fp, _conj_fingerprint,
-                                   seed_gens=H.generators)
-    return stab
+    return _stabilizer(K, fp, _conj_fingerprint, seed_gens=H.generators)
 
 
 def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
@@ -237,8 +238,7 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
         return Perm.identity(G.degree)
     if x.cycle_type() != y.cycle_type():
         return None
-    _, _, hit = _orbit_stabilizer(G, x, Perm.conjugate, stop_at=y)
-    return hit
+    return _orbit_search(G, x, Perm.conjugate, y)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
@@ -263,15 +263,14 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
     g = Perm.identity(G.degree)
     part1, part2 = _orbit_partition(H1), _orbit_partition(H2)
     if part1 != part2:
-        _, _, g = _orbit_stabilizer(G, part1, _move_partition,
-                                    stop_at=part2)
+        g = _orbit_search(G, part1, _move_partition, part2)
         if g is None:
             return None
         fp1 = _conj_fingerprint(fp1, g)
         if fp1 == fp2:
             return g
     K2 = _partition_stabilizer(G, H2)
-    _, _, hit = _orbit_stabilizer(K2, fp1, _conj_fingerprint, stop_at=fp2)
+    hit = _orbit_search(K2, fp1, _conj_fingerprint, fp2)
     return None if hit is None else g * hit
 
 
@@ -312,6 +311,4 @@ def element_centralizer_with_known_index(G: PermGroup, x: Perm,
     """
     if class_size < 1 or G.order() % class_size:
         raise ValueError(f"class size {class_size} does not divide |G| = {G.order()}")
-    stab, _, _ = _orbit_stabilizer(G, x, Perm.conjugate,
-                                   _order=G.order() // class_size)
-    return stab
+    return _stabilizer(G, x, Perm.conjugate, order=G.order() // class_size)

@@ -5,7 +5,6 @@ from .roots import (
     SUPPORTED,
     highest_root,
     is_closed_abelian,
-    levi_subsystem,
     omega_fixed_roots,
     pairing,
     root_system,
@@ -30,7 +29,7 @@ from .e6scan import ClassScanResult, e6_centralizer_scan, scan_order3_self_norma
 
 __all__ = [
     "RootSystem", "SUPPORTED", "highest_root",
-    "is_closed_abelian", "levi_subsystem", "omega_fixed_roots", "pairing",
+    "is_closed_abelian", "omega_fixed_roots", "pairing",
     "root_system", "F_CLASS_CAP", "TorusClass", "Twist", "WeylGroupRep",
     "element_words", "f_conjugacy_classes", "flip_twist", "identity_twist",
     "order_polynomial", "torus_order", "triality_twist", "twist_by_name",

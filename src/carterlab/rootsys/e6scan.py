@@ -23,9 +23,7 @@ from .weyl import weyl_group
 
 @dataclass
 class ClassScanResult:
-    class_rep: Perm
     class_size: int
-    centralizer_order: int
     order3_subgroup_classes: int
     self_normalizing: list        # offending generators, empty on pass
 
@@ -71,9 +69,7 @@ def e6_centralizer_scan() -> list[ClassScanResult]:
         assert C.order() == W.order() // size
         n_classes, offenders = scan_order3_self_normalizers(C)
         results.append(ClassScanResult(
-            class_rep=rep,
             class_size=size,
-            centralizer_order=C.order(),
             order3_subgroup_classes=n_classes,
             self_normalizing=offenders,
         ))

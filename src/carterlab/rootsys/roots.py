@@ -162,24 +162,6 @@ def highest_root(system: RootSystem) -> tuple[tuple, tuple]:
     return best, system.simple_coords[best]
 
 
-def levi_subsystem(system: RootSystem, subset) -> list[tuple]:
-    """The roots supported on a subset of the fundamental roots.
-
-    ``subset`` holds indices into the fundamental list.  Raises if an
-    index is out of range.
-    """
-    subset = sorted(set(subset))
-    if any(not 0 <= j < system.rank for j in subset):
-        raise ValueError("subset must index fundamental roots")
-    chosen = set(subset)
-    out = []
-    for r in system.roots:
-        coords = system.simple_coords[r]
-        if all(c == 0 or i in chosen for i, c in enumerate(coords)):
-            out.append(r)
-    return out
-
-
 def omega_fixed_roots(system: RootSystem) -> list[tuple]:
     """Positive roots whose coordinate survives conjugation by every h_s(-1).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..permgrp.search import orbit
+from ..permgrp.search import orbit, orbits
 from .roots import RootSystem, _dot, reflection_closure
 from .weyl import weyl_group
 
@@ -23,27 +23,19 @@ class Subsystem:
     label: str                 # e.g. "A2+A1~" ("~" marks short-root components)
     basis: tuple               # simple roots of the subsystem
     roots: frozenset           # all roots of the subsystem
-    components: tuple          # (component label, component basis) pairs
 
 
 def _components(basis) -> list[list[tuple]]:
+    """The irreducible components, least index first, each in basis order:
+    the orbits of the steps i -> j between roots that are not orthogonal."""
     basis = list(basis)
-    remaining = set(range(len(basis)))
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = [seed]
-        remaining.discard(seed)
-        while queue:
-            i = queue.pop()
-            for j in list(remaining):
-                if _dot(basis[i], basis[j]) != 0:
-                    comp.add(j)
-                    remaining.discard(j)
-                    queue.append(j)
-        comps.append([basis[i] for i in sorted(comp)])
-    return comps
+    indices = range(len(basis))
+
+    def step(i, j):
+        return j if _dot(basis[i], basis[j]) else i
+
+    return [[basis[i] for i in sorted(comp)]
+            for comp in orbits(indices, indices, step)]
 
 
 def _subsystem_roots(system: RootSystem, basis) -> frozenset:
@@ -128,13 +120,10 @@ def borel_de_siebenthal(system: RootSystem) -> list[Subsystem]:
     out = []
     for key in sorted(classes):
         basis = classes[key]
-        comps = _components(basis)
         out.append(Subsystem(
             label=subsystem_label(system, basis),
             basis=tuple(basis),
             roots=_subsystem_roots(system, basis),
-            components=tuple((classify_component(system, c), tuple(c))
-                             for c in comps),
         ))
     out.sort(key=lambda s: (len(s.roots), s.label))
     return out

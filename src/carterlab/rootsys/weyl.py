@@ -64,7 +64,6 @@ def weyl_group(system: RootSystem) -> WeylGroupRep:
 class Twist:
     """A lattice automorphism permuting the fundamental roots."""
 
-    label: str
     system: RootSystem
     simple_map: tuple          # i -> image index among the fundamentals
     root_perm: Perm            # induced permutation of the root list
@@ -99,7 +98,7 @@ def _twist_from_simple_map(system: RootSystem, label: str, mapping) -> Twist:
             raise ValueError(f"{label} does not permute the roots")
         images.append(system.index[out])
     perm = Perm(images)
-    return Twist(label, system, mapping, perm, Perm(mapping).order())
+    return Twist(system, mapping, perm, Perm(mapping).order())
 
 
 def identity_twist(system: RootSystem) -> Twist:

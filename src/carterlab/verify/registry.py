@@ -2,9 +2,11 @@
 
 Quick-tier cases finish in seconds to a few minutes; full-tier cases
 run searches that take serious time (or are registered skips, so the
-coverage gap is explicit).  Expected values marked "derived" in a
-case's ``expected`` dict were computed once with the brute-force
-oracles in ``carterlab.permgrp.bruteforce`` and frozen here;
+coverage gap is explicit).  Each runner checks its expectations with
+``expect``.  The provenance column of ``CARTER_CATALOG`` says how each
+expected class count and representative order was found; those marked
+"derived" were computed once with the brute-force oracles in
+``carterlab.permgrp.bruteforce`` and frozen here, and
 ``regenerate_derived`` recomputes every one that is oracle-sized.
 """
 
@@ -31,10 +33,10 @@ from .report import CheckCase, Registry, SkipCase, expect
 REGISTRY = Registry()
 
 
-def _case(case_id, description, anchor, tier, group_specs, expected, budget_s):
+def _case(case_id, description, anchor, tier, group_specs, budget_s):
     def wrap(fn):
         REGISTRY.add(CheckCase(case_id, description, anchor, tier,
-                               tuple(group_specs), expected, budget_s, fn))
+                               tuple(group_specs), budget_s, fn))
         return fn
     return wrap
 
@@ -59,8 +61,7 @@ def _register_norm2syl():
         _case(f"norm2syl-psl2-{q}",
               f"Sylow-2 normalizer criterion in PSL(2,{q})",
               "Norm2Syl: N(S) = S C(S) iff q = +-1 mod 8",
-              "quick", [f"PSL(2,{q})"],
-              {"criterion": expected}, 30.0)(runner)
+              "quick", [f"PSL(2,{q})"], 30.0)(runner)
 
     def psp_runner():
         G = realize("PSp(4,3)").group
@@ -71,7 +72,7 @@ def _register_norm2syl():
     _case("norm2syl-psp4-3",
           "Sylow-2 normalizer criterion fails in PSp(4,3)",
           "Norm2Syl: N(S) = S C(S) iff q = +-1 mod 8 (C-series case)",
-          "quick", ["PSp(4,3)"], {"criterion": False}, 120.0)(psp_runner)
+          "quick", ["PSp(4,3)"], 120.0)(psp_runner)
 
 
 # ---------------------------------------------------------------- carter catalog
@@ -99,7 +100,7 @@ CARTER_CATALOG = {
 
 
 def _register_carter_catalog():
-    for case_id, (spec, count, order, provenance) in CARTER_CATALOG.items():
+    for case_id, (spec, count, order, _) in CARTER_CATALOG.items():
         def runner(spec=spec, count=count, order=order):
             G = realize(spec).group
             classes = carter_subgroups(G)
@@ -120,9 +121,7 @@ def _register_carter_catalog():
         _case(case_id,
               f"Full Carter-class search in {spec}",
               "solvable groups have one Carter class; almost simple ones at most one",
-              "quick", [spec],
-              {"classes": count, "rep_order": order, "oracle": provenance},
-              300.0)(runner)
+              "quick", [spec], 300.0)(runner)
 
 
 # ---------------------------------------------------------------- suites
@@ -131,7 +130,7 @@ def _register_suites():
     @_case("carter-quotient-suite",
            "Carter images in quotients remain Carter",
            "HomImageOfCarter: K N/N is a Carter subgroup of G/N",
-           "quick", ["Sym(4)", "SL(2,3)", "PGammaL(2,8)"], {"pairs": 3}, 300.0)
+           "quick", ["Sym(4)", "SL(2,3)", "PGammaL(2,8)"], 300.0)
     def quotient_suite():
         pairs = []
         S4 = realize("Sym(4)").group
@@ -160,8 +159,7 @@ def _register_suites():
     @_case("criterion-equivalence-suite",
            "The Sylow-2 criterion matches Carter classes containing a Sylow 2-subgroup",
            "CritSyl2Carter: a Carter subgroup contains S iff N(S) = S C(S)",
-           "quick", [spec for spec, *_ in CARTER_CATALOG.values()],
-           {"groups": len(CARTER_CATALOG)}, 600.0)
+           "quick", [spec for spec, *_ in CARTER_CATALOG.values()], 600.0)
     def criterion_suite():
         details = []
         for spec, *_ in CARTER_CATALOG.values():
@@ -178,8 +176,7 @@ def _register_suites():
     @_case("inh-2ext-suite",
            "Criterion inherited along 2-power-index extensions",
            "InhBy2-ext: N_H(T) = T C_H(T) forces N_G(S) = S C_G(S)",
-           "quick", ["PSL(2,7)", "PGL(2,7)", "Alt(6)", "Sym(6)"],
-           {"pairs": 2}, 300.0)
+           "quick", ["PSL(2,7)", "PGL(2,7)", "Alt(6)", "Sym(6)"], 300.0)
     def inh_suite():
         details = []
         for h_spec, g_spec in [("PSL(2,7)", "PGL(2,7)"), ("Alt(6)", "Sym(6)")]:
@@ -207,7 +204,7 @@ def _register_element_cases():
            "Odd-order elements meet their inverses under the duality extension",
            "ConjInverseInGraph: semisimple elements are conjugate to inverses "
            "under the graph extension",
-           "quick", ["Ext(PSL(3,2), graph)"], {"odd_elements": 105}, 120.0)
+           "quick", ["Ext(PSL(3,2), graph)"], 120.0)
     def graph_inverse():
         ext = realize("Ext(PSL(3,2), graph)")
         G, Gamma = ext.inner, ext.group
@@ -223,7 +220,7 @@ def _register_element_cases():
            "Order-3 conjugacy with the inverse: canonical vs extended group",
            "an element of order 3 is not conjugate to its inverse in PSL2(3) "
            "but is in PGL2(3)",
-           "quick", ["PSL(2,3)", "PGL(2,3)"], {"psl": False, "pgl": True}, 30.0)
+           "quick", ["PSL(2,3)", "PGL(2,3)"], 30.0)
     def psl23_power():
         psl = realize("PSL(2,3)").group
         pgl = realize("PGL(2,3)").group
@@ -238,7 +235,7 @@ def _register_element_cases():
     @_case("sp43-longroot-conj",
            "The long-root product v meets its inverse inside Sp(4,3)",
            "v = x_{2e1}(1) x_{2e2}(1) and v^-1 are conjugate in the group",
-           "quick", ["Sp(4,3)"], {"conjugate": True}, 300.0)
+           "quick", ["Sp(4,3)"], 300.0)
     def sp43_longroot():
         rg = realize("Sp(4,3)")
         G, act = rg.group, rg.action
@@ -258,7 +255,7 @@ def _register_root_cases():
            "Involution-fixed root coordinates across all supported types",
            "centUH / centUHsymp: C_U(Omega(H)) is trivial except in the "
            "C-series, where the long roots survive",
-           "quick", [], {"empty_types": 14, "c_types": 6}, 60.0)
+           "quick", [], 60.0)
     def omega_all():
         empty_expected = [("A", r) for r in range(2, 8)] + \
             [("B", r) for r in range(3, 8)] + \
@@ -288,7 +285,7 @@ def _register_root_cases():
         _case(f"long-roots-abelian-C{rank}",
               f"Long-root subgroup of C{rank} is abelian at the root level",
               "the span of long-root subgroups is abelian (commutator criterion)",
-              "quick", [], {"long_roots": rank}, 30.0)(runner)
+              "quick", [], 30.0)(runner)
 
     bds_expect = {
         "G2": ["A2", "A1+A1~"],
@@ -311,12 +308,12 @@ def _register_root_cases():
         _case(f"bds-{label}",
               f"Extended-diagram subsystem enumeration in {label}",
               "every subsystem arises by removing nodes from extended diagrams",
-              "quick", [], {"contains": tuple(wanted)}, 120.0)(runner)
+              "quick", [], 120.0)(runner)
 
     @_case("torus-A1",
            "Maximal torus orders of the rank-1 split group",
            "split tori have orders q-1 and q+1",
-           "quick", ["W(A1)"], {"orders_at_5": (4, 6)}, 30.0)
+           "quick", ["W(A1)"], 30.0)
     def torus_a1():
         system = root_system("A", 1)
         W = weyl_group(system)
@@ -329,7 +326,7 @@ def _register_root_cases():
     @_case("torus-A2",
            "Maximal torus orders of the rank-2 split group",
            "twisted-conjugacy classes of W classify the maximal tori",
-           "quick", ["W(A2)"], {"classes": 3}, 30.0)
+           "quick", ["W(A2)"], 30.0)
     def torus_a2():
         system = root_system("A", 2)
         W = weyl_group(system)
@@ -342,7 +339,7 @@ def _register_root_cases():
     @_case("torus-2A2",
            "The twisted rank-2 torus of order (q+1)^2 exists",
            "InvolutionsAndTori: the twisted group has a torus of order (q+1)^n",
-           "quick", ["W(A2)"], {"has_q_plus_1_sq": True}, 30.0)
+           "quick", ["W(A2)"], 30.0)
     def torus_2a2():
         system = root_system("A", 2)
         W = weyl_group(system)
@@ -357,7 +354,7 @@ def _register_root_cases():
     @_case("highest-root-C3",
            "Highest root of C3 in fundamental coordinates",
            "long positive roots of the C-series are r_n + 2r_{n-1} + ... = 2e_k",
-           "quick", [], {"coefficients": (2, 2, 1)}, 30.0)
+           "quick", [], 30.0)
     def highest_c3():
         system = root_system("C", 3)
         root, coeff = highest_root(system)
@@ -369,7 +366,7 @@ def _register_root_cases():
            "No W(E6) centralizer holds a self-normalizing order-3 subgroup",
            "NormOfRegularElementIsNotCentr: centralizers in W(E6) carry no "
            "Carter subgroup of order 3",
-           "quick", ["W(E6)"], {"classes": 25, "all_pass": True}, 420.0)
+           "quick", ["W(E6)"], 420.0)
     def e6_case():
         results = e6_centralizer_scan()
         expect(len(results) == 25, f"{len(results)} classes, expected 25")
@@ -389,7 +386,7 @@ def _register_semilinear_cases():
            "Full Carter search in the order-1512 semilinear group",
            "CarterSemilinear case 2: K = S : <zeta> with S Sylow 2 in the "
            "fixed subgroup; order derived as 2 * 3",
-           "quick", ["PGammaL(2,8)"], {"classes": 1, "rep_order": 6}, 600.0)
+           "quick", ["PGammaL(2,8)"], 600.0)
     def pgammal8():
         G = realize("PGammaL(2,8)").group
         expect(G.order() == 1512, f"order {G.order()} != 1512")
@@ -403,7 +400,7 @@ def _register_semilinear_cases():
     @_case("syl2-fieldaut-psl2-8",
            "Sylow 2-subgroups against an odd-order field automorphism, q = 8",
            "Syl2InCentrOfFieldAut (requires odd characteristic)",
-           "quick", ["PSL(2,8)"], {}, 30.0)
+           "quick", ["PSL(2,8)"], 30.0)
     def fieldaut8():
         raise SkipCase("the claim requires odd characteristic; PSL(2,8) has "
                        "p = 2, where |fixed subgroup|_2 < |G|_2")
@@ -411,7 +408,7 @@ def _register_semilinear_cases():
     @_case("syl2-fieldaut-psl2-27",
            "Sylow 2-subgroup of the Frobenius-fixed subgroup is Sylow in PSL(2,27)",
            "Syl2InCentrOfFieldAut: a Sylow 2-subgroup of G_psi is one of G",
-           "quick", ["PSL(2,27)"], {"fixed_sylow2": 4}, 120.0)
+           "quick", ["PSL(2,27)"], 120.0)
     def fieldaut27():
         rg = realize("PSL(2,27)")
         G = rg.group
@@ -428,7 +425,7 @@ def _register_semilinear_cases():
     @_case("conj-automorphisms-pgammal28",
            "All order-3 complements to PSL(2,8) are conjugate under it",
            "ConjAutomorphisms: <phi>^g = <phi'> with g in the socle",
-           "quick", ["PGammaL(2,8)"], {"orbits": 1}, 300.0)
+           "quick", ["PGammaL(2,8)"], 300.0)
     def conj_autos():
         rg = realize("PGammaL(2,8)")
         Gamma, G = rg.group, rg.inner
@@ -445,7 +442,7 @@ def _register_semilinear_cases():
     @_case("carter-semilinear-2g2",
            "The rank-1 Ree family case",
            "CarterSemilinear case 4 (Ree groups of characteristic 3)",
-           "quick", [], {}, 1.0)
+           "quick", [], 1.0)
     def ree_case():
         raise SkipCase("construction out of scope: no Ree-family realization")
 
@@ -453,7 +450,7 @@ def _register_semilinear_cases():
            "The order-81 subgroup S : <phi> is Carter in PSL(2,27) : <phi>",
            "CarterSemilinear case 3: K = S : <zeta> with S a Sylow 3-subgroup "
            "of the zeta-fixed part; order derived as 27 * 3",
-           "full", ["Ext(PSL(2,27), frob)"], {"witness_order": 81}, 1200.0)
+           "full", ["Ext(PSL(2,27), frob)"], 1200.0)
     def witness27():
         rg = realize("Ext(PSL(2,27), frob)")
         Gamma, act = rg.group, rg.action
@@ -471,7 +468,7 @@ def _register_semilinear_cases():
     @_case("pgammal-2-27-search",
            "Full Carter search in the order-29484 semilinear group",
            "the main conjugacy statement: Carter subgroups form one class",
-           "full", ["Ext(PSL(2,27), frob)"], {"classes": 1}, 7200.0)
+           "full", ["Ext(PSL(2,27), frob)"], 7200.0)
     def search27():
         Gamma = realize("Ext(PSL(2,27), frob)").group
         classes = carter_subgroups(Gamma)
@@ -486,7 +483,7 @@ def _register_semilinear_cases():
            "The twisted rank-2 case over GF(2^6)",
            "CarterSemilinear case 1 needs odd t > 1; the smallest instance "
            "is the unitary group over GF(2^6)",
-           "full", [], {}, 1.0)
+           "full", [], 1.0)
     def su_2a2_case():
         raise SkipCase("smallest instance has ambient order ~5.5e6 on 4161 "
                        "points; beyond desk-scale search caps")
@@ -507,7 +504,7 @@ def _register_semilinear_cases():
         _case(f"carter-psl2q-scan-{q}",
               f"Carter classes and the Sylow-2 criterion in PSL(2,{q})",
               "Carter subgroups of the group are conjugate",
-              "full", [f"PSL(2,{q})"], {"max_classes": 1}, 1800.0)(runner)
+              "full", [f"PSL(2,{q})"], 1800.0)(runner)
 
 
 _register_norm2syl()

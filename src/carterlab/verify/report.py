@@ -1,9 +1,10 @@
 """Check cases and structured reports.
 
 Each case binds a named claim (its anchor) to an executable check over
-concrete groups.  Reports carry pass/fail/skip plus metrics; a case
-fails only if it ran and an expectation was missed, and skips carry the
-reason.  Cap overruns surface as skips so sibling cases keep running.
+concrete groups.  Reports carry pass/fail/skip/error plus metrics; a
+case fails only if it ran and an expectation was missed, and skips carry
+the reason.  Cap overruns surface as skips and any other exception as an
+error, so sibling cases keep running.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from ..errors import CapExceeded
 
 
 class SkipCase(Exception):
-    """Raised inside a runner to report a deliberate skip."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Raised inside a runner, with the reason, to report a deliberate skip."""
 
 
 _SKIP_EXCEPTIONS = (SkipCase, CapExceeded)
@@ -33,7 +30,6 @@ class CheckCase:
     anchor: str
     tier: str                      # "quick" | "full"
     group_specs: tuple
-    expected: dict
     budget_s: float
     runner: object                 # callable () -> (metrics: dict, details: str)
 
@@ -45,7 +41,7 @@ class CheckCase:
 @dataclass
 class CheckReport:
     id: str
-    status: str                    # "pass" | "fail" | "skip"
+    status: str                    # "pass" | "fail" | "skip" | "error"
     anchor: str
     metrics: dict = field(default_factory=dict)
     details: str = ""
@@ -83,8 +79,10 @@ def run_case_obj(case: CheckCase) -> CheckReport:
         status, reason = "fail", ""
     except _SKIP_EXCEPTIONS as exc:
         metrics, details = {}, ""
-        status = "skip"
-        reason = getattr(exc, "reason", str(exc))
+        status, reason = "skip", str(exc)
+    except Exception as exc:    # a crashing case must not stop the others
+        metrics, details = {}, f"{type(exc).__name__}: {exc}"
+        status, reason = "error", ""
     metrics = dict(metrics)
     metrics["ms"] = round(1000 * (time.monotonic() - start), 1)
     return CheckReport(case.id, status, case.anchor, metrics, details, reason)
@@ -128,17 +126,7 @@ def render_reports(reports, fmt: str = "text") -> str:
         elif r.status == "skip":
             lines.append(f"SKIP  {r.id}  [{r.reason}]")
         else:
-            lines.append(f"FAIL! {r.id}  ({ms} ms)  {r.details}")
+            mark = "FAIL!" if r.status == "fail" else "ERROR"
+            lines.append(f"{mark} {r.id}  ({ms} ms)  {r.details}")
     return "\n".join(lines)
 
-
-def parse_reports(text: str) -> list[CheckReport]:
-    data = json.loads(text)
-    out = []
-    for item in data:
-        out.append(CheckReport(
-            id=item["id"], status=item["status"], anchor=item["anchor"],
-            metrics=item.get("metrics", {}), details=item.get("details", ""),
-            reason=item.get("reason", ""),
-        ))
-    return out

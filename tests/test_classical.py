@@ -103,3 +103,6 @@ def test_unsupported_specs_rejected():
         ClassicalGroupSpec("SU", 4, 2)
     with pytest.raises(ValueError):
         ClassicalGroupSpec("SO", 3, 3)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            ClassicalGroupSpec("SL", 2, q).field

@@ -33,6 +33,20 @@ def test_check_list(capsys):
     assert "pgammal-2-27-witness" in out
 
 
+def test_crashing_case_exits_4(capsys, monkeypatch):
+    from carterlab.verify import registry
+
+    def crash():
+        raise RuntimeError("scan crashed")
+
+    monkeypatch.setattr(registry, "e6_centralizer_scan", crash)
+    code, out, _ = run_cli(capsys, "check", "run", "e6-scan", "--format", "json")
+    assert code == 4
+    (report,) = json.loads(out)
+    assert (report["status"], report["details"]) == \
+        ("error", "RuntimeError: scan crashed")
+
+
 def test_unknown_case_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "run", "nope")
     assert code == 2

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from carterlab.permgrp.group import PermGroup
-from carterlab.permgrp.perm import Perm, parse_perm
+from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import quotient_group
 
 
@@ -109,11 +109,3 @@ def test_order_and_cycle_type_match_cycles():
     assert Perm.identity(0).order() == Perm.identity(1).order() == 1
     assert Perm.identity(1).cycle_type() == ()
 
-
-def test_parse_perm_roundtrip():
-    for text in ["(0 1 2)(3 4)", "()", "(2 5)"]:
-        p = parse_perm(text, 6)
-        assert parse_perm(str(p), 6) == p
-    assert parse_perm("(0, 1)", 3) == Perm.from_cycles(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        parse_perm("(0 1", 3)

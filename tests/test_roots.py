@@ -1,8 +1,7 @@
 import pytest
 
 from carterlab.rootsys.roots import (SUPPORTED, highest_root, is_closed_abelian,
-                                     levi_subsystem, omega_fixed_roots, pairing,
-                                     root_system)
+                                     omega_fixed_roots, pairing, root_system)
 
 ROOT_COUNTS = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
                "C": lambda n: 2 * n * n, "D": lambda n: 2 * n * (n - 1),
@@ -103,16 +102,6 @@ def test_highest_roots():
     assert sorted(coeff) == [2, 3]
     _, coeff = highest_root(root_system("E", 8))
     assert sum(coeff) == 29  # height of the E8 highest root
-
-
-def test_levi_subsystems():
-    C3 = root_system("C", 3)
-    assert levi_subsystem(C3, []) == []
-    assert len(levi_subsystem(C3, [0, 1])) == 6      # type A2
-    assert len(levi_subsystem(C3, [1, 2])) == 8      # type C2
-    assert len(levi_subsystem(C3, [0, 1, 2])) == 18  # all of C3
-    with pytest.raises(ValueError):
-        levi_subsystem(C3, [3])
 
 
 def test_closed_abelian():

@@ -3,8 +3,7 @@ import json
 import pytest
 
 from carterlab.verify import (CARTER_CATALOG, REGISTRY, CheckReport,
-                              parse_reports, regenerate_derived,
-                              render_reports)
+                              regenerate_derived, render_reports)
 
 
 def test_case_ids_unique_and_anchored():
@@ -38,10 +37,26 @@ def test_empty_registry_runs_to_empty_list():
 def test_duplicate_case_ids_rejected():
     from carterlab.verify.report import CheckCase, Registry
     reg = Registry()
-    case = CheckCase("x", "d", "a", "quick", (), {}, 1.0, lambda: ({}, ""))
+    case = CheckCase("x", "d", "a", "quick", (), 1.0, lambda: ({}, ""))
     reg.add(case)
     with pytest.raises(ValueError):
         reg.add(case)
+
+
+def test_crashing_case_is_an_error_and_the_rest_still_run():
+    from carterlab.verify.report import CheckCase, Registry
+
+    def crash():
+        raise ZeroDivisionError("division by zero")
+
+    reg = Registry()
+    reg.add(CheckCase("crash", "d", "a", "quick", (), 1.0, crash))
+    reg.add(CheckCase("fine", "d", "a", "quick", (), 1.0, lambda: ({}, "ok")))
+    crashed, fine = reg.run_all()
+    assert (crashed.status, crashed.details) == \
+        ("error", "ZeroDivisionError: division by zero")
+    assert fine.status == "pass"
+    assert render_reports([crashed]).startswith("ERROR crash  (")
 
 
 def test_single_case_runs_and_replays():
@@ -74,8 +89,7 @@ def test_report_json_round_trip():
     reports = [REGISTRY.run_case("psl23-power"),
                REGISTRY.run_case("carter-semilinear-2g2")]
     text = render_reports(reports, "json")
-    parsed = parse_reports(text)
-    assert [p.to_dict() for p in parsed] == [r.to_dict() for r in reports]
+    assert json.loads(text) == [r.to_dict() for r in reports]
     assert render_reports([], "json") == "[]"
 
 
