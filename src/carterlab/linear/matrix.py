@@ -10,7 +10,7 @@ from .gf import FiniteField
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "n")
+    __slots__ = ("field", "rows", "cols", "n")
 
     def __init__(self, field: FiniteField, rows):
         self.field = field
@@ -18,6 +18,7 @@ class Matrix:
         self.n = len(self.rows)
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
+        self.cols = tuple(zip(*self.rows))
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> Matrix:
@@ -31,7 +32,7 @@ class Matrix:
         return Matrix(self.field, map(other.apply_to_row_vector, self.rows))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, zip(*self.rows))
+        return Matrix(self.field, self.cols)
 
     def frobenius(self) -> Matrix:
         """The entrywise p-th power."""
@@ -77,9 +78,8 @@ class Matrix:
     def apply_to_row_vector(self, v: tuple) -> tuple:
         """v * M for a row vector v."""
         F = self.field
-        cols = zip(*self.rows)
         out = []
-        for col in cols:
+        for col in self.cols:
             acc = 0
             for a, b in zip(v, col):
                 if a and b:

@@ -15,6 +15,10 @@ Schreier vectors and makes sifting allocation-free.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
+from operator import mul
+
 from .perm import Perm
 
 
@@ -66,6 +70,7 @@ class PermGroup:
         self._levels: list[_Level] = []
         self._base_hint = tuple(base_hint) if base_hint is not None else ()
         self._order = None
+        self._walk_generators = None
         self._schreier_sims()
 
     # -- construction ------------------------------------------------
@@ -177,6 +182,50 @@ class PermGroup:
                 if g not in seen:
                     seen.append(g)
         return tuple(seen)
+
+    @property
+    def walk_generators(self) -> tuple:
+        """A short generating set for orbit walks, derived once per group.
+
+        Prune: a realized generator is kept only if it lies outside the
+        group the kept ones generate.  If more than two are kept,
+        k_1..k_m, try in order the pairs (k_i, the product of the others
+        in order) for i = 1..m, then (k_1...k_m, k_i) for i = 1..m, and
+        take the first pair that generates the whole group; else use the
+        pruned list.  Deterministic, so every walk sees the same set.
+        """
+        if self._walk_generators is None:
+            self._walk_generators = self._short_generators()
+        return self._walk_generators
+
+    def _short_generators(self) -> tuple:
+        from .search import orbits  # search imports this module
+        gens = self.generators
+        kept, H = [], PermGroup.trivial(self.degree)
+        for i, g in enumerate(gens):
+            if H.order() == self.order():
+                break
+            if g not in H:
+                kept.append(g)
+                if i + 1 < len(gens):       # nothing is sifted after the last
+                    H = PermGroup(kept, self.degree)
+        if len(kept) <= 2:
+            return tuple(kept)
+        whole = reduce(mul, kept)
+        pairs = chain(((k, reduce(mul, kept[:i] + kept[i + 1:]))
+                       for i, k in enumerate(kept)),
+                      ((whole, k) for k in kept))
+        n_orbits = len(self.natural_orbits())
+        for pair in pairs:
+            # <pair> lies in G, so with more orbits on the domain it is
+            # smaller; counting them is far cheaper than a chain
+            if sum(1 for _ in orbits(range(self.degree), pair,
+                                     lambda p, s: s[p])) > n_orbits:
+                continue
+            P = PermGroup(pair, self.degree)
+            if P.order() == self.order():
+                return P.generators
+        return tuple(kept)
 
     def basic_orbits(self) -> list[list[int]]:
         return [sorted(lv.transversal) for lv in self._levels]

@@ -28,10 +28,14 @@ of p's cell.  Equal partitions give equal vectors, so a walk keys its
 transversal by them directly, and moving one is a scatter of the labels
 and one relabelling pass in C.
 
-Orbits are walked breadth-first with generators in a fixed order, so
-every result (including returned conjugators) is deterministic.  Walks
-that need no transversal (orbit partitions, closures) use ``orbit`` and
-``orbits``, which the rest of the package shares.
+Orbits are walked breadth-first through the group's ``walk_generators``,
+a short generating set derived once per group, in a fixed order, so
+every result (including returned conjugators) is deterministic.  No
+other result depends on which generators a walk uses: orbits,
+stabilizer orders and yes/no answers are the group's own, and class
+representatives are least members.  Walks that need no transversal
+(orbit partitions, closures) use ``orbit`` and ``orbits``, which the
+rest of the package shares.
 """
 
 from __future__ import annotations
@@ -52,14 +56,16 @@ CLASS_ENUMERATION_CAP = 1_000_000
 def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
     """Stab_G(start), where ``act(point, g)`` applies generator g.
 
-    Schreier generators are harvested from the non-tree edges of the
-    orbit walk, in walk order, onto ``seed_gens`` until the stabilizer
-    has order |G| / |orbit|.  Without ``order`` the whole orbit is
-    walked first.  Given ``order``, the stabilizer's order, each point's
-    edges are harvested once the point is expanded and the walk stops
-    when the stabilizer reaches ``order``.
+    The walk acts through ``G.walk_generators``.  Schreier generators
+    are harvested from the non-tree edges of the orbit walk, in walk
+    order, onto ``seed_gens`` until the stabilizer has order
+    |G| / |orbit|; the stabilizer is the same group for any generating
+    set, though its generators are not.  Without ``order`` the whole
+    orbit is walked first.  Given ``order``, the stabilizer's order,
+    each point's edges are harvested once the point is expanded and the
+    walk stops when the stabilizer reaches ``order``.
     """
-    gens = G.generators
+    gens = G.walk_generators
     transversal = {start: Perm.identity(G.degree)}
     queue = [start]
     # non-tree edges as (u, s, known): keeping the transversal element
@@ -103,7 +109,7 @@ def _orbit_search(G: PermGroup, start, act, target):
     queue = [start]
     for point in queue:     # the list grows while it is walked
         u = transversal[point]
-        for s in G.generators:
+        for s in G.walk_generators:
             image = act(point, s)
             if image not in transversal:
                 v = u * s
@@ -294,7 +300,7 @@ def _classes(G: PermGroup, elements) -> list:
         raise SearchCapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
     return sorted((len(o), o[0])
-                  for o in orbits(elements, G.generators, Perm.conjugate))
+                  for o in orbits(elements, G.walk_generators, Perm.conjugate))
 
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,

@@ -49,7 +49,7 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
                 yield min(y, sq)
 
     n_classes, offenders = 0, []
-    for found in orbits(order3_subgroups(), C.generators,
+    for found in orbits(order3_subgroups(), C.walk_generators,
                         lambda x, s: canonical(x.conjugate(s))):
         n_classes += 1
         if 3 * len(found) == C.order():     # |N_C(<x>)| = 3

@@ -122,3 +122,30 @@ def test_natural_orbits_least_point_first_and_sorted():
                    Perm.from_cycles(9, [(3, 8)])], 9)
     assert H.natural_orbits() == [[0, 3, 7, 8], [1], [2, 5], [4], [6]]
     assert H.orbit_signature() == (1, 1, 1, 2, 4)
+
+
+
+def test_walk_generators_are_short_and_generate_the_group(corpus):
+    from carterlab.linear.groupspec import realize
+    from carterlab.verify import REGISTRY
+    specs = [spec for case in REGISTRY.list_cases() for spec in case.group_specs]
+    specs += list(corpus) + ["PSU(3,3)", "PSL(3,4)", "Ext(PSL(2,8), frob)"]
+    assert "W(E6)" in specs
+    for spec in dict.fromkeys(specs):
+        G = realize(spec).group
+        realized = G.generators
+        walk = G.walk_generators
+        assert G.generators is realized, spec
+        assert all(g in G for g in walk), spec
+        assert PermGroup(walk, G.degree).order() == G.order(), spec
+        if spec == "PSL(3,2)":
+            # no pair of the rule generates it: the pruned list, in order
+            assert walk == tuple(g for g in realized if g in walk), spec
+            assert len(walk) == 4
+        else:
+            assert len(walk) <= 2, spec
+        fresh = realize(spec).group
+        assert fresh.generators == realized, spec
+        assert fresh.walk_generators == walk, spec
+        assert PermGroup(realized, G.degree).walk_generators == walk, spec
+    assert PermGroup.trivial(5).walk_generators == ()

@@ -305,3 +305,29 @@ def test_class_sizes_sum_and_reps_canonical(corpus):
             assert rep in G
             cls = {rep.conjugate(g) for g in elements}    # by brute force
             assert size == len(cls) and rep == min(cls), spec
+
+
+def test_walk_results_do_not_depend_on_the_walk_generators(monkeypatch):
+    """Class lists, Carter representatives and the W(E6) scan are the same
+    whether the walks act through the short set or the realized
+    generators; only returned conjugators may differ."""
+    from carterlab.linear.groupspec import realize
+    from carterlab.permgrp.carter import carter_subgroups
+    from carterlab.rootsys.e6scan import e6_centralizer_scan
+    classed = [realize(spec).group
+               for spec in ("W(E6)", "Ext(PSL(2,27), frob)", "PSp(4,3)")]
+    searched = [realize(spec).group for spec in
+                ("Sym(4)", "GL(2,3)", "PSL(2,7)", "Ext(PSL(2,8), frob)")]
+    assert all(len(G.walk_generators) < len(G.generators) for G in classed)
+
+    def results():
+        return ([conjugacy_classes(G) for G in classed],
+                [[(R.order(), [str(g) for g in R.generators])
+                  for R in carter_subgroups(G).representatives]
+                 for G in searched],
+                e6_centralizer_scan())
+
+    short = results()
+    monkeypatch.setattr(PermGroup, "walk_generators",
+                        property(lambda G: G.generators))
+    assert results() == short
