@@ -192,7 +192,8 @@ class PermGroup:
         k_1..k_m, try in order the pairs (k_i, the product of the others
         in order) for i = 1..m, then (k_1...k_m, k_i) for i = 1..m, and
         take the first pair that generates the whole group; else use the
-        pruned list.  Deterministic, so every walk sees the same set.
+        pruned list.  Deterministic, so every walk sees the same set, and
+        threads that race to derive it store equal tuples.
         """
         if self._walk_generators is None:
             self._walk_generators = self._short_generators()

@@ -124,7 +124,6 @@ def test_natural_orbits_least_point_first_and_sorted():
     assert H.orbit_signature() == (1, 1, 1, 2, 4)
 
 
-
 def test_walk_generators_are_short_and_generate_the_group(corpus):
     from carterlab.linear.groupspec import realize
     from carterlab.verify import REGISTRY
