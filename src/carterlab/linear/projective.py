@@ -26,8 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from ..errors import CapExceeded
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup
-from .classical import (ClassicalGroupSpec, classical_group, matrix_group_order,
-                        scalar_count)
+from .classical import ClassicalGroupSpec, classical_group
 from .gf import FiniteField
 from .matrix import Matrix
 
@@ -112,12 +111,6 @@ class ProjectiveAction:
     def group(self) -> PermGroup:
         gens = [self.perm_of(M) for M in classical_group(self.spec)]
         return PermGroup(gens, self.degree)
-
-    def image_order(self) -> int:
-        order = matrix_group_order(self.spec)
-        if self.linear:
-            return order
-        return order // scalar_count(self.spec)
 
 
 def projective_rep(spec: ClassicalGroupSpec,

@@ -134,9 +134,6 @@ def check_syl2_criterion(G: PermGroup) -> bool:
     N_G(S) and <S, C_G(S)>.
     """
     S = sylow_subgroup(G, 2)
-    if S.is_trivial():
-        # odd-order G: N(1) = G = 1*C(1); the criterion is vacuously true
-        return True
     N = subgroup_normalizer(G, S)
     C = subgroup_centralizer(G, S)
     SC = PermGroup(S.generators + C.generators, G.degree)

@@ -54,7 +54,7 @@ class _Level:
 
 
 class PermGroup:
-    """Immutable permutation group; safe to share across threads."""
+    """Immutable permutation group; nothing in this package starts a thread."""
 
     def __init__(self, generators, degree: int, base_hint=None):
         gens = []
@@ -95,10 +95,6 @@ class PermGroup:
             long = tuple(range(n)) if n % 2 else tuple(range(1, n))
             gens.append(Perm.from_cycles(n, [long]))
         return cls(gens, n)
-
-    @classmethod
-    def cyclic(cls, g: Perm) -> PermGroup:
-        return cls((g,), len(g))
 
     def _pick_base_point(self, g: Perm) -> int:
         used = {lv.beta for lv in self._levels}
@@ -175,15 +171,6 @@ class PermGroup:
         return tuple(lv.beta for lv in self._levels)
 
     @property
-    def strong_generators(self) -> tuple:
-        seen = []
-        for lv in self._levels:
-            for g in lv.gens:
-                if g not in seen:
-                    seen.append(g)
-        return tuple(seen)
-
-    @property
     def walk_generators(self) -> tuple:
         """A short generating set for orbit walks, derived once per group.
 
@@ -192,8 +179,8 @@ class PermGroup:
         k_1..k_m, try in order the pairs (k_i, the product of the others
         in order) for i = 1..m, then (k_1...k_m, k_i) for i = 1..m, and
         take the first pair that generates the whole group; else use the
-        pruned list.  Deterministic, so every walk sees the same set, and
-        threads that race to derive it store equal tuples.
+        pruned list.  Deterministic, so every walk sees the same set;
+        cached on first use, without a lock.
         """
         if self._walk_generators is None:
             self._walk_generators = self._short_generators()
@@ -228,16 +215,10 @@ class PermGroup:
                 return P.generators
         return tuple(kept)
 
-    def basic_orbits(self) -> list[list[int]]:
-        return [sorted(lv.transversal) for lv in self._levels]
-
-    def sift(self, g: Perm) -> Perm:
+    def __contains__(self, g) -> bool:
         if len(g) != self.degree:
             raise DegreeMismatchError(f"degree {len(g)} != {self.degree}")
-        return self._strip(g if isinstance(g, Perm) else Perm(g))
-
-    def __contains__(self, g) -> bool:
-        return self.sift(g).is_identity()
+        return self._strip(g if isinstance(g, Perm) else Perm(g)).is_identity()
 
     def is_subgroup_of(self, other: PermGroup) -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)

@@ -1,15 +1,22 @@
 """Generator I/O: JSON objects with 0-based disjoint cycles.
 
 Format: ``{"degree": n, "generators": [[cycle, ...], ...]}`` where each
-cycle is an array of points; fixed points are omitted.
+cycle is a non-empty array of integer points; fixed points are omitted.
 """
 
 from __future__ import annotations
 
 import json
 
+from ..errors import CapExceeded
 from .perm import Perm
 from .group import PermGroup
+
+DEGREE_CAP = 10_000     # the bound of linear.projective.DOMAIN_CAP
+
+
+class DegreeCapExceeded(CapExceeded):
+    pass
 
 
 def group_to_json(G: PermGroup) -> str:
@@ -22,11 +29,21 @@ def group_to_json(G: PermGroup) -> str:
 
 def group_from_json(text: str) -> PermGroup:
     payload = json.loads(text)
-    degree = payload["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(payload, dict):
+        raise ValueError("a group file holds one JSON object")
+    degree, generators = payload.get("degree"), payload.get("generators")
+    if type(degree) is not int or degree < 1:       # bool is not a degree
         raise ValueError("degree must be a positive integer")
+    if degree > DEGREE_CAP:     # checked before any permutation is built
+        raise DegreeCapExceeded(f"degree {degree} exceeds {DEGREE_CAP}")
+    if not (isinstance(generators, list) and all(
+            isinstance(cycles, list) and all(
+                isinstance(c, list) and c and all(type(a) is int for a in c)
+                for c in cycles)
+            for cycles in generators)):
+        raise ValueError("generators must be lists of non-empty cycles of integers")
     gens = [Perm.from_cycles(degree, [tuple(c) for c in cycles])
-            for cycles in payload["generators"]]
+            for cycles in generators]
     return PermGroup(gens, degree)
 
 

@@ -57,9 +57,6 @@ class QuotientProjection:
     def subgroup(self, H: PermGroup) -> PermGroup:
         return PermGroup([self.element(h) for h in H.generators], len(self._keys))
 
-    def __call__(self, g: Perm) -> Perm:
-        return self.element(g)
-
 
 def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, QuotientProjection]:
     """The quotient G/N as a faithful PermGroup, plus its projection map."""

@@ -1,4 +1,4 @@
-"""Sylow subgroups by p-subgroup ascent, and nilpotency tests.
+"""Sylow subgroups by p-subgroup ascent, and nilpotency by p-element counts.
 
 The ascent uses the standard fact that a p-subgroup H with |H| < |G|_p
 has p dividing |N_G(H) : H|, so some p-element of the normalizer grows
@@ -12,8 +12,6 @@ from __future__ import annotations
 from .perm import Perm
 from .group import PermGroup
 from .search import subgroup_normalizer
-
-_ELEMENT_COUNT_CAP = 60_000
 
 
 def is_prime(n: int) -> bool:
@@ -53,8 +51,6 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order(), p)
-    if target == 1:
-        return PermGroup.trivial(G.degree)
     H = PermGroup.trivial(G.degree)
     while H.order() < target:
         grown = _grow_by_p_element(subgroup_normalizer(G, H), H, p)
@@ -75,18 +71,10 @@ def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int):
 
 
 def is_nilpotent(H: PermGroup) -> bool:
-    """Whether H is nilpotent.
-
-    H is nilpotent iff every Sylow subgroup is normal, tested by counting
-    p-elements (the count equals |H|_p exactly when the Sylow p-subgroup
-    is unique).  Above ``_ELEMENT_COUNT_CAP`` elements the Sylow
-    subgroups are built and tested for normality instead.
-    """
+    """Whether H is nilpotent: for each prime p dividing |H|, exactly |H|_p
+    elements have p-power order (so the Sylow p-subgroup is unique, hence
+    normal).  One pass over the elements; no Sylow subgroup is built."""
     n = H.order()
-    if n == 1:
-        return True
-    if n > _ELEMENT_COUNT_CAP:
-        return _nilpotent_by_normal_sylows(H)
     counts = {p: 0 for p in prime_factors(n)}
     for g in H.elements():
         o = g.order()
@@ -94,15 +82,6 @@ def is_nilpotent(H: PermGroup) -> bool:
             if p_part(o, p) == o:
                 counts[p] += 1
     return all(counts[p] == p_part(n, p) for p in counts)
-
-
-def _nilpotent_by_normal_sylows(H: PermGroup) -> bool:
-    for p in prime_factors(H.order()):
-        S = sylow_subgroup(H, p)
-        for g in H.generators:
-            if any(s.conjugate(g) not in S for s in S.generators):
-                return False
-    return True
 
 
 def normal_closure(G: PermGroup, seed_gens) -> PermGroup:

@@ -87,10 +87,6 @@ class RootSystem:
     index: dict               # root -> position in roots
     simple_coords: dict       # root -> integer coordinates over the simples
 
-    @property
-    def dimension(self) -> int:
-        return len(self.roots[0])
-
     def positive_roots(self) -> list[tuple]:
         return [r for r in self.roots if self.height(r) > 0]
 

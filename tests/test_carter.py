@@ -234,6 +234,7 @@ def test_search_cap():
 
 def test_criterion_examples(groups):
     assert check_syl2_criterion(groups["PSL(2,7)"]) is True
+    assert check_syl2_criterion(PermGroup.alternating(3)) is True   # odd order: S = 1
     from carterlab.linear.groupspec import realize
     assert check_syl2_criterion(realize("PSL(2,5)").group) is False
     A5 = realize("Alt(5)").group

@@ -195,6 +195,34 @@ def test_missing_group_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload", [
+    '{"degree": 3, "generators": [[["a", 1]]]}',
+    '[1, 2]',
+    '{"degree": 3, "generators": 5}',
+    '{"degree": 3, "generators": [[[0, 1.5]]]}',
+])
+def test_malformed_group_file_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "group.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, "group", "info", f"File({path})")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_group_file_above_degree_cap_exits_3(capsys, tmp_path, monkeypatch):
+    from carterlab.errors import CapExceeded
+    from carterlab.permgrp import io
+    assert issubclass(io.DegreeCapExceeded, CapExceeded)
+    path = tmp_path / "group.json"
+    path.write_text('{"degree": 6, "generators": [[[0, 5]]]}')
+    code, _, _ = run_cli(capsys, "group", "info", f"File({path})")
+    assert code == 0
+    monkeypatch.setattr(io, "DEGREE_CAP", 5)
+    code, out, err = run_cli(capsys, "group", "info", f"File({path})")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: degree 6 exceeds 5\n"
+
+
 @pytest.mark.parametrize("q", ["1", "0", "-3"])
 def test_torus_q_below_two_exits_2(capsys, q):
     code, out, err = run_cli(capsys, "torus", "G2", "--q", q)

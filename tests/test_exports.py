@@ -1,10 +1,14 @@
-"""Every package's ``__all__`` names exactly what its ``__init__`` imports."""
+"""Every package's ``__all__`` names exactly what its ``__init__`` imports,
+and every public name of the engine is used by the engine itself."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
+
+import carterlab
 
 PACKAGES = ["carterlab", "carterlab.linear", "carterlab.permgrp",
             "carterlab.rootsys", "carterlab.verify"]
@@ -27,3 +31,51 @@ def test_all_names_exactly_the_imports(name):
         assert hasattr(module, entry), (name, entry)
     version = {"__version__"} & set(vars(module))
     assert set(exported) == imported_names(module) | version, name
+
+
+# Public names that no module of the package reads, kept on purpose.
+UNREFERENCED_ALLOWED = {
+    "linear.groupspec.realize_group",   # the package's top-level entry point
+    # closed forms and a direct series that tests compare the engine against
+    "linear.classical.lie_order", "rootsys.weyl.torus_order",
+    "rootsys.weyl.Twist.matrix", "permgrp.sylow.lower_central_series",
+    # small, documented group API
+    "permgrp.group.PermGroup.same_group_as", "permgrp.group.PermGroup.random_element",
+    "permgrp.group.PermGroup.rebase", "permgrp.io.group_to_json",
+    "linear.matrix.Matrix.scalar", "verify.registry.regenerate_derived",
+    # brute-force oracles, independent of the engine by design
+    "permgrp.bruteforce.closure_order", "permgrp.bruteforce.brute_normalizer",
+    "permgrp.bruteforce.brute_centralizer", "permgrp.bruteforce.brute_conjugator",
+    "permgrp.bruteforce.brute_subgroup_conjugator", "permgrp.bruteforce.all_subgroups",
+}
+
+
+def _public(names):
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_every_public_name_is_referenced_or_allowed():
+    """Public module-level functions and classes, and the public methods
+    of those classes, are read (as a name or an attribute) by some module
+    other than a package ``__init__``, or are allowed above."""
+    root = pathlib.Path(carterlab.__file__).parent
+    defined, referenced = [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for name in _public([node.name]):
+                    defined.append((f"{module}.{name}", name))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods = [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+                for name in _public(methods):
+                    defined.append((f"{module}.{node.name}.{name}", name))
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    unreferenced = {qual for qual, name in defined if name not in referenced}
+    assert unreferenced == UNREFERENCED_ALLOWED

@@ -83,8 +83,8 @@ def test_odd_normalizer_elements_centralize_sylow2_in_products():
     C3_embedded = PermGroup([c3], deg)
     S = sylow_subgroup(G, 2)
     N = subgroup_normalizer(G, S)
-    q1, proj1 = quotient_group(G, T_embedded)   # image of the C3 part
-    q2, proj2 = quotient_group(G, C3_embedded)  # image of the PSL part
+    proj1 = quotient_group(G, T_embedded)[1].element   # image of the C3 part
+    proj2 = quotient_group(G, C3_embedded)[1].element  # image of the PSL part
     checked = 0
     for x in N.elements():
         if x.order() % 2 == 0:

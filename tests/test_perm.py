@@ -91,7 +91,7 @@ def test_products_of_degree_below_two():
     G = PermGroup.symmetric(4)
     Q, proj = quotient_group(G, G)
     assert Q.degree == 1 and Q.order() == 1 and list(Q.elements()) == [(0,)]
-    images = [proj(g) for g in G.generators]
+    images = [proj.element(g) for g in G.generators]
     assert all(x == (0,) for x in images)
     assert images[0] * images[1] == (0,)
     assert proj.subgroup(G).order() == 1

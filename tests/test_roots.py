@@ -45,7 +45,7 @@ def test_simple_coords_rebuild_each_root(t, n):
         coords = system.simple_coords[r]
         assert len(coords) == n
         rebuilt = tuple(sum(c * a[k] for c, a in zip(coords, system.simples))
-                        for k in range(system.dimension))
+                        for k in range(len(r)))
         assert rebuilt == r
         assert all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
 

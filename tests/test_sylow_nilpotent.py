@@ -1,12 +1,9 @@
 import pytest
 
-from carterlab.permgrp import sylow
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.sylow import (is_nilpotent, lower_central_series,
                                      p_part, prime_factors, sylow_subgroup)
-
-from conftest import corpus_upto
 
 
 def dihedral(n):
@@ -62,17 +59,20 @@ def test_nilpotency_basics():
 
 
 def test_nilpotency_characterizations_agree_on_corpus(corpus):
-    for spec, G in corpus_upto(corpus, 2000).items():
-        assert is_nilpotent(G) == nilpotent_by_lower_central_series(G), spec
+    groups = dict(corpus)
+    groups |= {f"Syl2({spec})": sylow_subgroup(G, 2) for spec, G in corpus.items()}
+    verdicts = {spec: is_nilpotent(G) for spec, G in groups.items()}
+    for spec, G in groups.items():
+        assert verdicts[spec] == nilpotent_by_lower_central_series(G), spec
+    assert sum(verdicts.values()) == 28  # W(C2) and the 27 Sylow 2-subgroups
 
 
-def test_normal_sylow_path_agrees_on_corpus_and_sylow2(corpus, monkeypatch):
-    # groups above the element-count cap are tested by normal Sylow subgroups
-    groups = list(corpus.values()) + [sylow_subgroup(G, 2) for G in corpus.values()]
-    monkeypatch.setattr(sylow, "_ELEMENT_COUNT_CAP", 0)
-    verdicts = [is_nilpotent(G) for G in groups]
-    assert verdicts == [nilpotent_by_lower_central_series(G) for G in groups]
-    assert verdicts.count(True) == 28  # W(C2) and the 27 Sylow 2-subgroups
+def test_nilpotent_2_group_of_order_65536():
+    # Syl2(Sym(16)) x <(16 17)>: swaps of adjacent blocks of sizes 1, 2, 4, 8
+    gens = [Perm.from_cycles(18, [(i, i + k) for i in range(k)]) for k in (1, 2, 4, 8)]
+    P = PermGroup(gens + [Perm.from_cycles(18, [(16, 17)])], 18)
+    assert P.order() == 65536
+    assert is_nilpotent(P)
 
 
 def test_lower_central_series_of_dihedral8():
