@@ -77,76 +77,57 @@ def _parse_type(text: str):
     return text[0].upper(), int(text[1:])
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     if args.check_command == "list":
         cases = REGISTRY.list_cases(args.tier)
-        if args.format == "json":
-            print(json.dumps([{"id": c.id, "tier": c.tier,
-                               "description": c.description,
-                               "anchor": c.anchor} for c in cases], indent=2))
-        else:
-            for c in cases:
-                print(f"{c.id:36s} [{c.tier}] {c.description}")
-        return EXIT_PASS
+        return (EXIT_PASS,
+                [{"id": c.id, "tier": c.tier, "description": c.description,
+                  "anchor": c.anchor} for c in cases],
+                [f"{c.id:36s} [{c.tier}] {c.description}" for c in cases])
     if args.case_id == "all":
         reports = REGISTRY.run_all(args.tier)
     else:
         reports = [REGISTRY.run_case(args.case_id)]
-    print(render_reports(reports, args.format))
     statuses = {r.status for r in reports}
-    if "error" in statuses:
-        return EXIT_ERROR
-    return EXIT_FAIL if "fail" in statuses else EXIT_PASS
+    code = (EXIT_ERROR if "error" in statuses
+            else EXIT_FAIL if "fail" in statuses else EXIT_PASS)
+    return code, [r.to_dict() for r in reports], [render_reports(reports)]
 
 
-def _cmd_carter(args) -> int:
+def _cmd_carter(args):
     G = realize(args.group_spec).group
     classes = carter_subgroups(G, cap=args.cap)
-    if args.format == "json":
-        print(json.dumps({
-            "group": args.group_spec,
-            "order": G.order(),
-            "classes": classes.class_count,
-            "representative_orders": [r.order() for r in classes.representatives],
-        }, indent=2))
-    else:
-        print(f"{args.group_spec}: order {G.order()}, "
-              f"{classes.class_count} Carter class(es)")
-        for rep in classes.representatives:
-            gens = ", ".join(str(g) for g in rep.generators) or "()"
-            print(f"  order {rep.order()}: <{gens}>")
-    return EXIT_PASS
+    lines = [f"{args.group_spec}: order {G.order()}, "
+             f"{classes.class_count} Carter class(es)"]
+    for rep in classes.representatives:
+        gens = ", ".join(str(g) for g in rep.generators) or "()"
+        lines.append(f"  order {rep.order()}: <{gens}>")
+    return EXIT_PASS, {
+        "group": args.group_spec,
+        "order": G.order(),
+        "classes": classes.class_count,
+        "representative_orders": [r.order() for r in classes.representatives],
+    }, lines
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
     t, rank = _parse_type(args.type_label)
     system = root_system(t, rank)
     if args.roots_command == "subsystems":
-        subs = borel_de_siebenthal(system)
-        if args.format == "json":
-            print(json.dumps({
-                "type": f"{t}{rank}",
-                "subsystems": [{"label": s.label, "roots": len(s.roots),
-                                "basis": [list(r) for r in s.basis]}
-                               for s in subs]}, indent=2))
-        else:
-            print(f"{t}{rank}: {len(subs)} subsystem classes")
-            for s in subs:
-                print(f"  {s.label:12s} ({len(s.roots)} roots)  "
-                      f"basis {[list(r) for r in s.basis]}")
-        return EXIT_PASS
-    fixed = omega_fixed_roots(system)
-    if args.format == "json":
-        print(json.dumps({"type": f"{t}{rank}",
-                          "omega_fixed_roots": [list(r) for r in fixed]}, indent=2))
-    else:
-        print(f"{t}{rank}: {len(fixed)} involution-fixed positive root(s)")
-        for r in fixed:
-            print(f"  {list(r)}")
-    return EXIT_PASS
+        subs = [{"label": s.label, "roots": len(s.roots),
+                 "basis": [list(r) for r in s.basis]}
+                for s in borel_de_siebenthal(system)]
+        return EXIT_PASS, {"type": f"{t}{rank}", "subsystems": subs}, [
+            f"{t}{rank}: {len(subs)} subsystem classes"] + [
+            f"  {s['label']:12s} ({s['roots']} roots)  basis {s['basis']}"
+            for s in subs]
+    fixed = [list(r) for r in omega_fixed_roots(system)]
+    return EXIT_PASS, {"type": f"{t}{rank}", "omega_fixed_roots": fixed}, [
+        f"{t}{rank}: {len(fixed)} involution-fixed positive root(s)"] + [
+        f"  {r}" for r in fixed]
 
 
-def _cmd_torus(args) -> int:
+def _cmd_torus(args):
     t, rank = _parse_type(args.type_label)
     check_field_size(args.q)    # before the class walk, which may hit a cap
     system = root_system(t, rank)
@@ -161,19 +142,16 @@ def _cmd_torus(args) -> int:
                      "order_poly": list(c.order_poly),
                      "order": c.order_at(args.q)} for c in classes],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{t}{rank} twist={args.twist} q={args.q}: "
-              f"{len(classes)} torus classes (sizes sum to {W.order()})")
-        for c in classes:
-            word = "".join(f"s{i}" for i in c.rep_word) or "e"
-            print(f"  size {c.size:5d}  |T| = {c.order_at(args.q):8d}  "
-                  f"poly {list(c.order_poly)}  rep {word}")
-    return EXIT_PASS
+    lines = [f"{t}{rank} twist={args.twist} q={args.q}: "
+             f"{len(classes)} torus classes (sizes sum to {W.order()})"]
+    for c in payload["classes"]:
+        word = "".join(f"s{i}" for i in c["rep_word"]) or "e"
+        lines.append(f"  size {c['size']:5d}  |T| = {c['order']:8d}  "
+                     f"poly {c['order_poly']}  rep {word}")
+    return EXIT_PASS, payload, lines
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args):
     rg = realize(args.group_spec)
     G = rg.group
     payload = {
@@ -185,15 +163,14 @@ def _cmd_group(args) -> int:
         "base": list(G.base),
         "orbit_lengths": [len(o) for o in G.natural_orbits()],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{rg.label}: degree {G.degree}, order {G.order()}, "
-              f"{len(G.generators)} generators")
-        print(f"  base {payload['base']}, orbit lengths {payload['orbit_lengths']}")
-    return EXIT_PASS
+    return EXIT_PASS, payload, [
+        f"{rg.label}: degree {G.degree}, order {G.order()}, "
+        f"{len(G.generators)} generators",
+        f"  base {payload['base']}, orbit lengths {payload['orbit_lengths']}"]
 
 
+# each command returns (exit code, JSON payload, text lines), and main
+# prints the payload or the lines
 _COMMANDS = {"check": _cmd_check, "carter": _cmd_carter, "roots": _cmd_roots,
              "torus": _cmd_torus, "group": _cmd_group}
 
@@ -205,13 +182,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code, payload, lines = _COMMANDS[args.command](args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(payload, indent=2) if args.format == "json"
+          else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import CapExceeded
-from .group import PermGroup
+from .group import PermGroup, orbits
 from .perm import Perm
-from .search import (_classes, are_conjugate_subgroups, orbits,
-                     subgroup_centralizer, subgroup_normalizer)
+from .search import (_classes, are_conjugate_subgroups, subgroup_centralizer,
+                     subgroup_normalizer)
 from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000

@@ -11,6 +11,10 @@ cross-check orders from independent bases).
 Transversals are stored as explicit permutations together with their
 inverses; at desk scale (degree <= a few hundred) this is cheaper than
 Schreier vectors and makes sifting allocation-free.
+
+Every orbit walk of the package lives here: ``walk`` grows a
+transversal (a chain level's, or a search's in ``search``), and
+``orbit`` and ``orbits`` walk without one.
 """
 
 from __future__ import annotations
@@ -26,6 +30,65 @@ class DegreeMismatchError(ValueError):
     pass
 
 
+def walk(transversal: dict, gens, act):
+    """Grow ``transversal`` to the orbit of its points, breadth-first.
+
+    ``transversal`` maps each point to an element taking the walk's start
+    to it; ``act(point, g)`` applies generator g.  The points already in
+    the dict are expanded first, in order, then the new ones as they are
+    found, each through ``gens`` in their given order.  Every edge is
+    yielded as ``(u, s, image, known)``, where u is the point's element:
+    ``known`` is the element already recorded for ``image``, or None when
+    ``image`` is new, and the walk then records it as reached by ``u * s``.
+    """
+    queue = list(transversal)
+    for point in queue:         # the list grows while it is walked
+        u = transversal[point]
+        for s in gens:
+            image = act(point, s)
+            known = transversal.get(image)
+            if known is None:
+                transversal[image] = u * s
+                queue.append(image)
+            yield u, s, image, known
+
+
+def orbit(seeds, gens, act) -> list:
+    """The orbit of ``seeds`` under ``gens``, in breadth-first discovery order.
+
+    ``seeds`` are distinct points; ``act(point, g)`` applies generator g.
+    Generators are tried in their given order, so the returned order is
+    deterministic.
+    """
+    points = list(seeds)
+    seen = set(points)
+    for point in points:        # the list grows while it is walked
+        for g in gens:
+            image = act(point, g)
+            if image not in seen:
+                seen.add(image)
+                points.append(image)
+    return points
+
+
+def orbits(points, gens, act):
+    """Yield the orbits of ``gens`` on ``points``, one at a time.
+
+    The least unassigned point starts each orbit, so when ``points`` is
+    a union of orbits every orbit comes first-point-least, and orbits
+    arrive in increasing order of their least points.
+    """
+    remaining = set(points)
+    while remaining:
+        found = orbit([min(remaining)], gens, act)
+        remaining.difference_update(found)
+        yield found
+
+
+def _image(point: int, g: Perm) -> int:
+    return g[point]
+
+
 class _Level:
     __slots__ = ("beta", "gens", "transversal", "inverse")
 
@@ -38,19 +101,9 @@ class _Level:
 
     def extend_orbit(self):
         """Grow the orbit/transversal after new generators were added."""
-        frontier = list(self.transversal)
-        while frontier:
-            new_frontier = []
-            for p in frontier:
-                u = self.transversal[p]
-                for s in self.gens:
-                    q = s[p]
-                    if q not in self.transversal:
-                        v = u * s
-                        self.transversal[q] = v
-                        self.inverse[q] = v.inverse()
-                        new_frontier.append(q)
-            frontier = new_frontier
+        for _, _, image, known in walk(self.transversal, self.gens, _image):
+            if known is None:
+                self.inverse[image] = self.transversal[image].inverse()
 
 
 class PermGroup:
@@ -187,7 +240,6 @@ class PermGroup:
         return self._walk_generators
 
     def _short_generators(self) -> tuple:
-        from .search import orbits  # search imports this module
         gens = self.generators
         kept, H = [], PermGroup.trivial(self.degree)
         for i, g in enumerate(gens):
@@ -207,8 +259,7 @@ class PermGroup:
         for pair in pairs:
             # <pair> lies in G, so with more orbits on the domain it is
             # smaller; counting them is far cheaper than a chain
-            if sum(1 for _ in orbits(range(self.degree), pair,
-                                     lambda p, s: s[p])) > n_orbits:
+            if sum(1 for _ in orbits(range(self.degree), pair, _image)) > n_orbits:
                 continue
             P = PermGroup(pair, self.degree)
             if P.order() == self.order():
@@ -260,12 +311,11 @@ class PermGroup:
 
     def natural_orbits(self) -> list[list[int]]:
         """Orbits of the group on its domain (an invariant under conjugation)."""
-        from .search import orbit  # search imports this module
         seen = [False] * self.degree
         out = []
         for p in range(self.degree):
             if not seen[p]:
-                found = orbit([p], self.generators, lambda q, s: s[q])
+                found = orbit([p], self.generators, _image)
                 for q in found:
                     seen[q] = True
                 out.append(sorted(found))

@@ -28,7 +28,10 @@ def group_to_json(G: PermGroup) -> str:
 
 
 def group_from_json(text: str) -> PermGroup:
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("group file nests JSON too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("a group file holds one JSON object")
     degree, generators = payload.get("degree"), payload.get("generators")

@@ -14,8 +14,7 @@ from functools import partial
 
 from ..errors import CapExceeded
 from .perm import Perm
-from .group import PermGroup
-from .search import orbit
+from .group import PermGroup, orbit
 
 
 class NotNormalError(ValueError):

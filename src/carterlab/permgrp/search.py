@@ -2,19 +2,20 @@
 
 Everything here rides the same mechanism: act on a hashable object (an
 element by conjugation, the full element fingerprint of a subgroup, or
-a partition of the domain), walk the orbit with transversal
-bookkeeping, and harvest stabilizer generators through Schreier's
-lemma.  The whole orbit is walked first, so the stabilizer's order
-|G| / |orbit| is known before the harvest starts: Schreier generators
-are sifted into a growing subgroup, discarded when redundant, and the
-harvest stops as soon as that order is reached.  When the stabilizer's
-order is known in advance (a centralizer of an element whose class size
-is known), each point's edges are harvested as soon as the point is
-expanded, and the walk itself stops when that order is reached; the
-Schreier generators are tried in the same order either way, so the
-stabilizer's generators are the same.  Normalizers and centralizers
-harvest a stabilizer (``_stabilizer``); conjugacy tests search for a
-target point and keep no edges (``_orbit_search``).
+a partition of the domain), walk the orbit with ``group.walk``, the
+transversal walk that also grows the stabilizer chain's levels, and
+harvest stabilizer generators through Schreier's lemma.  The whole
+orbit is walked first, so the stabilizer's order |G| / |orbit| is known
+before the harvest starts: Schreier generators are sifted into a
+growing subgroup, discarded when redundant, and the harvest stops as
+soon as that order is reached.  When the stabilizer's order is known in
+advance (a centralizer of an element whose class size is known), each
+edge is harvested as the walk meets it, and the walk stops at the edge
+that completes the stabilizer; the Schreier generators are tried in the
+same order either way, so the stabilizer's generators are the same.
+Normalizers and centralizers harvest a stabilizer (``_stabilizer``);
+conjugacy tests search for a target point and keep no edges
+(``_orbit_search``).
 
 Subgroup normalizers and subgroup conjugacy first refine by the orbit
 partition of H (its orbits on the domain, fixed points included).  Any
@@ -34,15 +35,14 @@ every result (including returned conjugators) is deterministic.  No
 other result depends on which generators a walk uses: orbits,
 stabilizer orders and yes/no answers are the group's own, and class
 representatives are least members.  Walks that need no transversal
-(orbit partitions, closures) use ``orbit`` and ``orbits``, which the
-rest of the package shares.
+(orbit partitions, closures) use ``group.orbit`` and ``group.orbits``.
 """
 
 from __future__ import annotations
 
 from ..errors import CapExceeded
 from .perm import Perm
-from .group import PermGroup
+from .group import PermGroup, orbits, walk
 
 
 class SearchCapExceeded(CapExceeded):
@@ -62,37 +62,27 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
     |G| / |orbit|; the stabilizer is the same group for any generating
     set, though its generators are not.  Without ``order`` the whole
     orbit is walked first.  Given ``order``, the stabilizer's order,
-    each point's edges are harvested once the point is expanded and the
-    walk stops when the stabilizer reaches ``order``.
+    each edge is harvested as the walk meets it, and the walk stops at
+    the edge that completes the stabilizer.
     """
-    gens = G.walk_generators
     transversal = {start: Perm.identity(G.degree)}
-    queue = [start]
     # non-tree edges as (u, s, known): keeping the transversal element
     # rather than the fresh image keeps no second copy of an orbit point
-    edges = []
-    stab = None if order is None else PermGroup(seed_gens, G.degree)
-    for point in queue:     # the list grows while it is walked
-        u = transversal[point]
-        for s in gens:
-            image = act(point, s)
-            known = transversal.get(image)
-            if known is None:
-                transversal[image] = u * s
-                queue.append(image)
-            else:
-                edges.append((u, s, known))
-        if order is not None:
-            stab = _harvest(stab, edges, order)
-            edges.clear()
-            if stab.order() == order:
-                break
-    if stab is None:
+    edges = ((u, s, known) for u, s, _, known
+             in walk(transversal, G.walk_generators, act) if known is not None)
+    if order is None:
+        edges = list(edges)
         # a full walk builds the chain only now: built before the walk, it
         # fragments the heap, and the quick tier peaks 1 MB higher
-        stab = PermGroup(seed_gens, G.degree)
         order = G.order() // len(transversal)
-    stab = _harvest(stab, edges, order)
+    stab = PermGroup(seed_gens, G.degree)
+    if stab.order() < order:
+        for u, s, known in edges:
+            g = u * s * known.inverse()
+            if not g.is_identity() and g not in stab:
+                stab = PermGroup(stab.generators + (g,), G.degree)
+                if stab.order() == order:
+                    break
     # a walk that ran to the end holds the whole stabilizer, of order
     # |G| / |orbit|: given ``order``, this checks the orbit's length
     assert stab.order() == order
@@ -102,66 +92,14 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
 def _orbit_search(G: PermGroup, start, act, target):
     """A g in G taking ``start`` to ``target`` under ``act``, or None.
 
-    The walk keeps no edges and stops at ``target``; g is the
-    transversal element that reaches it.
+    The walk stops at ``target``; g is the transversal element that
+    reaches it.
     """
     transversal = {start: Perm.identity(G.degree)}
-    queue = [start]
-    for point in queue:     # the list grows while it is walked
-        u = transversal[point]
-        for s in G.walk_generators:
-            image = act(point, s)
-            if image not in transversal:
-                v = u * s
-                if image == target:
-                    return v
-                transversal[image] = v
-                queue.append(image)
+    for _, _, image, known in walk(transversal, G.walk_generators, act):
+        if known is None and image == target:
+            return transversal[image]
     return None
-
-
-def _harvest(stab: PermGroup, edges, target: int) -> PermGroup:
-    """Sift the Schreier generators of ``edges`` into ``stab``, in order,
-    until it has order ``target``."""
-    for u, s, known in edges:
-        if stab.order() >= target:
-            break
-        g = u * s * known.inverse()
-        if not g.is_identity() and g not in stab:
-            stab = PermGroup(stab.generators + (g,), stab.degree)
-    return stab
-
-
-def orbit(seeds, gens, act) -> list:
-    """The orbit of ``seeds`` under ``gens``, in breadth-first discovery order.
-
-    ``seeds`` are distinct points; ``act(point, g)`` applies generator g.
-    Generators are tried in their given order, so the returned order is
-    deterministic.
-    """
-    points = list(seeds)
-    seen = set(points)
-    for point in points:        # the list grows while it is walked
-        for g in gens:
-            image = act(point, g)
-            if image not in seen:
-                seen.add(image)
-                points.append(image)
-    return points
-
-
-def orbits(points, gens, act):
-    """Yield the orbits of ``gens`` on ``points``, one at a time.
-
-    The least unassigned point starts each orbit, so when ``points`` is
-    a union of orbits every orbit comes first-point-least, and orbits
-    arrive in increasing order of their least points.
-    """
-    remaining = set(points)
-    while remaining:
-        found = orbit([min(remaining)], gens, act)
-        remaining.difference_update(found)
-        yield found
 
 
 def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
@@ -229,11 +167,11 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
         raise ValueError("H is not a subgroup of G")
     if H.order() == G.order() or H.is_trivial():
         return G
-    fp = _fingerprint(H)
     K = _partition_stabilizer(G, H)
     if K.order() == H.order():
         return K
-    return _stabilizer(K, fp, _conj_fingerprint, seed_gens=H.generators)
+    return _stabilizer(K, _fingerprint(H), _conj_fingerprint,
+                       seed_gens=H.generators)
 
 
 def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
@@ -261,20 +199,21 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
         return None
     if H1.orbit_signature() != H2.orbit_signature():
         return None
-    fp1, fp2 = _fingerprint(H1), _fingerprint(H2)
-    if fp1 == fp2:
+    if H1.is_subgroup_of(H2):       # the orders are equal
         return Perm.identity(G.degree)
     # any conjugator maps part1 onto part2; after g does, the rest of
     # the search lies in Stab_G(part2)
-    g = Perm.identity(G.degree)
     part1, part2 = _orbit_partition(H1), _orbit_partition(H2)
-    if part1 != part2:
+    if part1 == part2:
+        g, fp1 = Perm.identity(G.degree), _fingerprint(H1)
+    else:
         g = _orbit_search(G, part1, _move_partition, part2)
         if g is None:
             return None
-        fp1 = _conj_fingerprint(fp1, g)
-        if fp1 == fp2:
-            return g
+        fp1 = _conj_fingerprint(_fingerprint(H1), g)
+    fp2 = _fingerprint(H2)
+    if fp1 == fp2:
+        return g
     K2 = _partition_stabilizer(G, H2)
     hit = _orbit_search(K2, fp1, _conj_fingerprint, fp2)
     return None if hit is None else g * hit

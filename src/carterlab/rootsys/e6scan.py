@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..permgrp.group import PermGroup
+from ..permgrp.group import PermGroup, orbits
 from ..permgrp.perm import Perm
-from ..permgrp.search import (conjugacy_classes,
-                              element_centralizer_with_known_index, orbits)
+from ..permgrp.search import conjugacy_classes, element_centralizer_with_known_index
 from .roots import root_system
 from .weyl import weyl_group
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..permgrp.search import orbit
+from ..permgrp.group import orbit
 
 SUPPORTED = {
     "A": range(1, 8),

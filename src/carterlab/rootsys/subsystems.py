@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..permgrp.search import orbit, orbits
+from ..permgrp.group import orbit, orbits
 from .roots import RootSystem, _dot, reflection_closure
 from .weyl import weyl_group
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..permgrp.perm import Perm
-from ..permgrp.group import PermGroup
-from ..permgrp.search import SearchCapExceeded, orbits
+from ..permgrp.group import PermGroup, orbits
+from ..permgrp.search import SearchCapExceeded
 from .roots import RootSystem, pairing
 
 F_CLASS_CAP = 51_840

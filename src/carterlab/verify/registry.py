@@ -17,10 +17,10 @@ from ..linear.groupspec import realize
 from ..linear.projective import frobenius_perm
 from ..permgrp.carter import (carter_class_containing_sylow2, carter_subgroups,
                               check_syl2_criterion, is_carter_witness)
-from ..permgrp.group import PermGroup
+from ..permgrp.group import PermGroup, orbits
 from ..permgrp.quotient import quotient_group
 from ..permgrp.search import (are_conjugate_elements, element_centralizer,
-                              orbits, subgroup_centralizer, subgroup_normalizer)
+                              subgroup_centralizer, subgroup_normalizer)
 from ..permgrp.sylow import p_part, sylow_subgroup
 from ..rootsys.e6scan import e6_centralizer_scan
 from ..rootsys.roots import (highest_root, is_closed_abelian, omega_fixed_roots,

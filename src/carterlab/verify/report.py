@@ -9,7 +9,6 @@ error, so sibling cases keep running.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -115,9 +114,8 @@ class Registry:
         return [run_case_obj(c) for c in self.list_cases(tier)]
 
 
-def render_reports(reports, fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps([r.to_dict() for r in reports], indent=2)
+def render_reports(reports) -> str:
+    """The text report, one line per case."""
     lines = []
     for r in reports:
         ms = r.metrics.get("ms", 0)

@@ -140,6 +140,54 @@ def test_torus_command(capsys):
     assert {c["order"] for c in payload["classes"]} >= {16, 8, 7}
 
 
+def test_torus_2e6_has_q_plus_one_to_the_sixth_torus(capsys):
+    """The 2E6 counterpart of the torus-2A2 check: the diagram flip of E6."""
+    code, out, _ = run_cli(capsys, "torus", "E6", "--twist", "flip", "--q", "2",
+                           "--format", "json")
+    classes = json.loads(out)["classes"]
+    assert code == 0 and len(classes) == 25
+    assert sum(c["size"] for c in classes) == 51840
+    (central,) = [c for c in classes if c["size"] == 1]
+    assert central["order_poly"] == [1, 6, 15, 20, 15, 6, 1]
+    assert central["order"] == 3 ** 6
+
+
+def test_failing_check_exits_1(capsys, monkeypatch):
+    from carterlab import cli
+    from carterlab.verify import CheckCase, Registry, SkipCase, expect
+
+    def fail():
+        expect(False, "2 classes, expected 1")
+
+    def skip():
+        raise SkipCase("needs the full tier")
+
+    registry = Registry()
+    for case_id, runner in [("fails", fail), ("passes", lambda: ({}, "fine")),
+                            ("skips", skip)]:
+        registry.add(CheckCase(case_id, case_id, "anchor", "quick", (), 1.0, runner))
+    monkeypatch.setattr(cli, "REGISTRY", registry)
+    code, out, _ = run_cli(capsys, "check", "run", "all")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].startswith("FAIL! fails  (")
+    assert lines[0].endswith("  2 classes, expected 1")
+    assert lines[1].startswith("PASS  passes  (")
+    assert lines[2] == "SKIP  skips  [needs the full tier]"
+    code, out, _ = run_cli(capsys, "check", "run", "all", "--format", "json")
+    assert code == 1
+    assert [r["status"] for r in json.loads(out)] == ["fail", "pass", "skip"]
+
+
+def test_deeply_nested_group_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"degree": 3, "generators": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run_cli(capsys, "group", "info", f"File({path})")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_group_info(capsys):
     code, out, _ = run_cli(capsys, "group", "info", "PSL(2,7)")
     assert code == 0 and "order 168" in out

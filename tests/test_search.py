@@ -45,6 +45,24 @@ def test_normalizer_of_whole_group():
     assert subgroup_normalizer(G, G).same_group_as(G)
 
 
+def test_subgroup_walks_above_fingerprint_cap_when_orbits_settle_them():
+    """Sym(8) fixing a point is the stabilizer of its own orbits in
+    Sym(9), so its normalizer and its self-conjugacy need no fingerprint
+    of its 40,320 elements."""
+    H = PermGroup([cyc(9, tuple(range(8))), cyc(9, (0, 1))], 9)
+    assert H.order() > search.SUBGROUP_FINGERPRINT_CAP
+    assert subgroup_normalizer(S(9), H).same_group_as(H)
+    assert are_conjugate_subgroups(S(9), H, H).is_identity()
+
+
+def test_fingerprint_cap_still_bounds_the_fingerprint_walk(monkeypatch):
+    # the partition stabilizer of <(0 1)(2 3)> in Sym(4) has order 8, so
+    # the normalizer needs the fingerprint walk
+    monkeypatch.setattr(search, "SUBGROUP_FINGERPRINT_CAP", 1)
+    with pytest.raises(search.SearchCapExceeded):
+        subgroup_normalizer(S(4), PermGroup([cyc(4, (0, 1), (2, 3))], 4))
+
+
 def test_normalizer_requires_subgroup():
     with pytest.raises(ValueError):
         subgroup_normalizer(PermGroup.alternating(4),
