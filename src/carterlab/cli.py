@@ -8,7 +8,7 @@
     carter-lab group info <group-spec>
 
 Exit codes: 0 all pass, 1 at least one fail, 2 usage, parse or file
-error, 3 a size cap exceeded, 4 a check case crashed.
+error, 3 a size cap exceeded, 4 a check case or a command crashed.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import json
 import sys
 
 from .errors import CapExceeded
-from .linear.groupspec import GroupSpecError, realize
+from .linear.groupspec import realize
 from .permgrp.carter import FULL_SEARCH_CAP, carter_subgroups
-from .rootsys.roots import omega_fixed_roots, root_system
+from .rootsys.roots import omega_fixed_roots, parse_type, root_system
 from .rootsys.subsystems import borel_de_siebenthal
 from .rootsys.weyl import (check_field_size, f_conjugacy_classes,
                            twist_by_name, weyl_group)
@@ -70,13 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_type(text: str):
-    text = text.strip()
-    if len(text) < 2 or not text[0].isalpha():
-        raise GroupSpecError(f"root-system type must look like C3, got {text!r}")
-    return text[0].upper(), int(text[1:])
-
-
 def _cmd_check(args):
     if args.check_command == "list":
         cases = REGISTRY.list_cases(args.tier)
@@ -111,7 +104,7 @@ def _cmd_carter(args):
 
 
 def _cmd_roots(args):
-    t, rank = _parse_type(args.type_label)
+    t, rank = parse_type(args.type_label)
     system = root_system(t, rank)
     if args.roots_command == "subsystems":
         subs = [{"label": s.label, "roots": len(s.roots),
@@ -128,7 +121,7 @@ def _cmd_roots(args):
 
 
 def _cmd_torus(args):
-    t, rank = _parse_type(args.type_label)
+    t, rank = parse_type(args.type_label)
     check_field_size(args.q)    # before the class walk, which may hit a cap
     system = root_system(t, rank)
     W = weyl_group(system)
@@ -189,6 +182,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:    # a crash is not a failing check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(json.dumps(payload, indent=2) if args.format == "json"
           else "\n".join(lines))
     return code

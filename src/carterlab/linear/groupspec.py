@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 
 from ..permgrp.group import PermGroup
 from ..permgrp.io import load_group
+from ..rootsys.roots import parse_type, root_system
+from ..rootsys.weyl import weyl_group
 from .classical import ClassicalGroupSpec
 from .projective import (ProjectiveAction, extend_by_autos, frobenius_perm,
                          graph_auto_perm, linear_rep, projective_rep)
@@ -109,7 +111,10 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             raise GroupSpecError("Ext(<spec>, frob[^j] | graph) takes two arguments")
         mode = args[1].strip()
         graph = mode == "graph"
-        inner = realize(args[0], need_hyperplanes=need_hyperplanes or graph)
+        try:
+            inner = realize(args[0], need_hyperplanes=need_hyperplanes or graph)
+        except RecursionError:
+            raise GroupSpecError("Ext(...) is nested too deeply") from None
         if inner.action is None:
             raise GroupSpecError("Ext requires a matrix-realized inner group")
         if graph:
@@ -125,13 +130,12 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
                              action=inner.action, inner=inner.group)
 
     if name == "W":
-        text = _only(args, "W").replace(" ", "")
-        wm = re.fullmatch(r"([A-G])(\d+)", text)
-        if not wm:
-            raise GroupSpecError(f"W(<type><rank>) expects e.g. W(E6), got {text!r}")
-        from ..rootsys import root_system, weyl_group
-        Phi = root_system(wm.group(1), int(wm.group(2)))
-        return RealizedGroup(f"W({text})", weyl_group(Phi).perm_group)
+        try:
+            t, rank = parse_type(_only(args, "W"))
+            Phi = root_system(t, rank)
+        except ValueError as exc:
+            raise GroupSpecError(f"W(<type><rank>): {exc}") from exc
+        return RealizedGroup(f"W({t}{rank})", weyl_group(Phi).perm_group)
 
     if name == "File":
         path = _only(args, "File").strip()

@@ -78,7 +78,7 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup):
         return y not in H and any((y ** p) in H for p in prime_factors(y.order()))
 
     candidates = (y for y in N.elements() if prime_step(y))
-    return [o[0] for o in orbits(candidates, N.walk_generators, Perm.conjugate)]
+    return sorted(min(o) for o in orbits(candidates, N.walk_generators, Perm.conjugate))
 
 
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:

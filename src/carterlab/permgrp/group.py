@@ -14,7 +14,8 @@ Schreier vectors and makes sifting allocation-free.
 
 Every orbit walk of the package lives here: ``walk`` grows a
 transversal (a chain level's, or a search's in ``search``), and
-``orbit`` and ``orbits`` walk without one.
+``orbit`` and ``orbits`` walk without one.  ``orbits`` starts each orbit
+at the first input point not yet seen; callers take ``min`` of an orbit.
 """
 
 from __future__ import annotations
@@ -72,17 +73,18 @@ def orbit(seeds, gens, act) -> list:
 
 
 def orbits(points, gens, act):
-    """Yield the orbits of ``gens`` on ``points``, one at a time.
+    """Yield the orbits of ``gens`` through ``points``, one at a time.
 
-    The least unassigned point starts each orbit, so when ``points`` is
-    a union of orbits every orbit comes first-point-least, and orbits
-    arrive in increasing order of their least points.
+    ``points`` (a generator will do) is read once, in order, and each
+    orbit starts at the first point not yet seen; a caller that wants an
+    orbit's least member takes ``min`` of it.
     """
-    remaining = set(points)
-    while remaining:
-        found = orbit([min(remaining)], gens, act)
-        remaining.difference_update(found)
-        yield found
+    seen = set()
+    for point in points:
+        if point not in seen:
+            found = orbit([point], gens, act)
+            seen.update(found)
+            yield found
 
 
 def _image(point: int, g: Perm) -> int:
@@ -311,15 +313,7 @@ class PermGroup:
 
     def natural_orbits(self) -> list[list[int]]:
         """Orbits of the group on its domain (an invariant under conjugation)."""
-        seen = [False] * self.degree
-        out = []
-        for p in range(self.degree):
-            if not seen[p]:
-                found = orbit([p], self.generators, _image)
-                for q in found:
-                    seen[q] = True
-                out.append(sorted(found))
-        return out
+        return [sorted(o) for o in orbits(range(self.degree), self.generators, _image)]
 
     def orbit_signature(self) -> tuple:
         return tuple(sorted(len(o) for o in self.natural_orbits()))

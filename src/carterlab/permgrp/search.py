@@ -34,8 +34,10 @@ a short generating set derived once per group, in a fixed order, so
 every result (including returned conjugators) is deterministic.  No
 other result depends on which generators a walk uses: orbits,
 stabilizer orders and yes/no answers are the group's own, and class
-representatives are least members.  Walks that need no transversal
-(orbit partitions, closures) use ``group.orbit`` and ``group.orbits``.
+representatives are least members, taken with ``min`` because
+``group.orbits`` starts each orbit at its first unseen input point.
+Walks that need no transversal (orbit partitions, closures) use
+``group.orbit`` and ``group.orbits``.
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ def _classes(G: PermGroup, elements) -> list:
     if G.order() > CLASS_ENUMERATION_CAP:
         raise SearchCapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
-    return sorted((len(o), o[0])
+    return sorted((len(o), min(o))
                   for o in orbits(elements, G.walk_generators, Perm.conjugate))
 
 

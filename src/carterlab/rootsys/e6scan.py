@@ -52,8 +52,8 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
                         lambda x, s: canonical(x.conjugate(s))):
         n_classes += 1
         if 3 * len(found) == C.order():     # |N_C(<x>)| = 3
-            offenders.append(found[0])
-    return n_classes, offenders
+            offenders.append(min(found))
+    return n_classes, sorted(offenders)
 
 
 def e6_centralizer_scan() -> list[ClassScanResult]:
@@ -61,10 +61,7 @@ def e6_centralizer_scan() -> list[ClassScanResult]:
     W = weyl_group(root_system("E", 6)).perm_group
     results = []
     for rep, size in conjugacy_classes(W):
-        if size == 1:
-            C = W
-        else:
-            C = element_centralizer_with_known_index(W, rep, size)
+        C = element_centralizer_with_known_index(W, rep, size)
         assert C.order() == W.order() // size
         n_classes, offenders = scan_order3_self_normalizers(C)
         results.append(ClassScanResult(

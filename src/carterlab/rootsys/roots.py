@@ -15,6 +15,7 @@ conjugating the root element of r by h_s(-1) scales its coordinate by
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 from ..permgrp.group import orbit
@@ -115,6 +116,14 @@ def pairing(s: tuple, r: tuple) -> int:
     if num % den:
         raise ValueError(f"{s} and {r} do not pair integrally")
     return num // den
+
+
+def parse_type(text: str) -> tuple[str, int]:
+    """(type letter, rank) from text such as ``E6``, ``e6`` or ``g 2``."""
+    m = re.fullmatch(r"\s*([A-Za-z])\s*(\d+)\s*", text)
+    if not m:
+        raise ValueError(f"root-system type must look like E6, got {text!r}")
+    return m.group(1).upper(), int(m.group(2))
 
 
 @functools.lru_cache(maxsize=None)

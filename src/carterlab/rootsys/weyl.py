@@ -5,7 +5,8 @@ sorted root list, and an integer matrix over the fundamental-root
 lattice basis.  Twists are lattice automorphisms given by a Dynkin
 diagram symmetry; twisted conjugacy w2 ~ w^-1 w2 w^tau is computed
 exhaustively over the whole group (capped at |W(E6)| = 51840), so class
-sizes certify completeness by summing to |W|.
+sizes certify completeness by summing to |W|.  The classes are the
+conjugacy classes of the coset W tau^-1, not W tau.
 
 A finite torus obtained by twisting with tau*w has order
 |det(q*M - I)| with M the lattice matrix of tau*w; the determinant is
@@ -149,20 +150,17 @@ class TorusClass:
 
 
 def element_words(W: WeylGroupRep) -> dict:
-    """Shortest (then lexicographically least) words for every element."""
+    """Shortest (then lexicographically least) words for every element,
+    filled breadth-first, so the dict runs in (length, word) order."""
     ident = W.perm_group.identity()
     words = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            base = words[w]
-            for i, s in enumerate(W.simple_reflections):
-                nxt = w * s
-                if nxt not in words:
-                    words[nxt] = base + (i,)
-                    new.append(nxt)
-        frontier = new
+    queue = [ident]
+    for w in queue:             # the list grows while it is walked
+        for i, s in enumerate(W.simple_reflections):
+            nxt = w * s
+            if nxt not in words:
+                words[nxt] = words[w] + (i,)
+                queue.append(nxt)
     return words
 
 
@@ -175,11 +173,13 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
             f"|W| = {W.order()} beyond the exhaustive cap {F_CLASS_CAP}")
     t = tau.root_perm
     t_inv = t.inverse()
-    twisted_gens = [(s.inverse(), t_inv * s * t) for s in W.simple_reflections]
     words = element_words(W)
     classes = []
-    for found in orbits(words, twisted_gens, lambda y, g: g[0] * y * g[1]):
-        rep = min(found, key=lambda e: (len(words[e]), words[e]))
+    # (y t^-1)^w = (w^-1 y w^tau) t^-1 with w^tau = t^-1 w t; the coset comes
+    # in the words' order, so each class's rep is its least (length, word)
+    coset = (y * t_inv for y in words)
+    for found in orbits(coset, W.perm_group.walk_generators, Perm.conjugate):
+        rep = found[0] * t
         classes.append(TorusClass(
             rep=rep,
             rep_word=words[rep],

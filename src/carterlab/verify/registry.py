@@ -15,12 +15,13 @@ from __future__ import annotations
 from ..linear.classical import ClassicalGroupSpec, classical_group, long_root_element
 from ..linear.groupspec import realize
 from ..linear.projective import frobenius_perm
+from ..permgrp.bruteforce import OracleCapExceeded, brute_carter_classes
 from ..permgrp.carter import (carter_class_containing_sylow2, carter_subgroups,
                               check_syl2_criterion, is_carter_witness)
 from ..permgrp.group import PermGroup, orbits
 from ..permgrp.quotient import quotient_group
 from ..permgrp.search import (are_conjugate_elements, element_centralizer,
-                              subgroup_centralizer, subgroup_normalizer)
+                              subgroup_normalizer)  # perfbench's self-test reads it
 from ..permgrp.sylow import p_part, sylow_subgroup
 from ..rootsys.e6scan import e6_centralizer_scan
 from ..rootsys.roots import (highest_root, is_closed_abelian, omega_fixed_roots,
@@ -185,11 +186,7 @@ def _register_suites():
             expect(H.is_subgroup_of(G), f"{h_spec} is not inside {g_spec}")
             index = G.order() // H.order()
             expect(index & (index - 1) == 0, f"index {index} is not a 2-power")
-            T = sylow_subgroup(H, 2)
-            NT = subgroup_normalizer(H, T)
-            CT = subgroup_centralizer(H, T)
-            TC = PermGroup(T.generators + CT.generators, H.degree)
-            expect(NT.order() == TC.order(),
+            expect(check_syl2_criterion(H),
                    f"{h_spec}: hypothesis N_H(T) = T C_H(T) fails")
             expect(check_syl2_criterion(G),
                    f"{g_spec}: inherited criterion fails")
@@ -521,7 +518,6 @@ def regenerate_derived() -> dict:
     Returns {case_id: {"classes": n, "rep_order": m}} for every Carter
     catalog entry whose group fits the subgroup-lattice oracle.
     """
-    from ..permgrp.bruteforce import OracleCapExceeded, brute_carter_classes
     out = {}
     for case_id, (spec, *_rest) in CARTER_CATALOG.items():
         G = realize(spec).group

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -188,9 +189,40 @@ def test_deeply_nested_group_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_deeply_nested_spec_exits_2(capsys):
+    depth = sys.getrecursionlimit()
+    spec = "Ext(" * depth + "PSL(2,3)" + ", frob)" * depth
+    code, out, err = run_cli(capsys, "group", "info", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_crashing_command_exits_4_without_traceback(capsys, monkeypatch):
+    from carterlab import cli
+
+    def crash(spec):
+        raise RuntimeError("realize crashed")
+
+    monkeypatch.setattr(cli, "realize", crash)
+    code, out, err = run_cli(capsys, "group", "info", "PSL(2,7)")
+    assert (code, out, err) == (4, "", "error: RuntimeError: realize crashed\n")
+
+
 def test_group_info(capsys):
     code, out, _ = run_cli(capsys, "group", "info", "PSL(2,7)")
     assert code == 0 and "order 168" in out
+
+
+@pytest.mark.parametrize("text", ["A2", "c3", "g 2", "E6x", "6E", "Q3", "E", "", "2"])
+def test_root_types_parse_alike_in_roots_and_weyl_specs(capsys, text):
+    code, _, _ = run_cli(capsys, "roots", "omega", text)
+    assert code == (0 if text in ("A2", "c3", "g 2") else 2)
+    assert run_cli(capsys, "group", "info", f"W({text})")[0] == code
+
+
+def test_weyl_spec_label_reads_the_parsed_type(capsys):
+    code, out, _ = run_cli(capsys, "group", "info", "W(e6)", "--format", "json")
+    assert code == 0 and json.loads(out)["label"] == "W(E6)"
 
 
 def test_check_run_has_no_parallelism_option(capsys):

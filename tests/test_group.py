@@ -3,7 +3,7 @@ import random
 import pytest
 
 from carterlab.permgrp.bruteforce import closure_order
-from carterlab.permgrp.group import DegreeMismatchError, PermGroup
+from carterlab.permgrp.group import DegreeMismatchError, PermGroup, orbits
 from carterlab.permgrp.perm import Perm
 
 from conftest import corpus_upto
@@ -92,6 +92,13 @@ def test_random_element_is_uniform_enough():
     counts = Counter(G.random_element(rng) for _ in range(4800))
     assert len(counts) == 24
     assert all(100 < c < 300 for c in counts.values())
+
+
+def test_orbits_start_at_the_first_unseen_point_as_given():
+    g = Perm.from_cycles(6, [(0, 1, 2), (3, 4)])
+    points = iter([4, 2, 3, 5, 0, 2, 1])     # one-shot, out of order, a repeat
+    assert list(orbits(points, [g], lambda p, s: s[p])) == [[4, 3], [2, 0, 1], [5]]
+    assert next(points, None) is None
 
 
 def test_natural_orbits_least_point_first_and_sorted():

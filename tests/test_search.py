@@ -326,24 +326,32 @@ def test_class_sizes_sum_and_reps_canonical(corpus):
 
 
 def test_walk_results_do_not_depend_on_the_walk_generators(monkeypatch):
-    """Class lists, Carter representatives and the W(E6) scan are the same
-    whether the walks act through the short set or the realized
-    generators; only returned conjugators may differ."""
+    """Class lists, Carter representatives, the W(E6) scan and twisted
+    classes are the same whether the walks act through the short set or
+    the realized generators; only returned conjugators may differ.  The
+    pair rule finds no pair for W(D4), which walks through all four of
+    its realized generators either way; W(A3) walks through a pair."""
     from carterlab.linear.groupspec import realize
     from carterlab.permgrp.carter import carter_subgroups
     from carterlab.rootsys.e6scan import e6_centralizer_scan
+    from carterlab.rootsys.weyl import f_conjugacy_classes, twist_by_name
+    A3, D4 = (weyl_group(root_system(t, n)) for t, n in (("A", 3), ("D", 4)))
+    twisted = [(A3, "flip")] + [(D4, name) for name in ("id", "flip", "triality")]
     classed = [realize(spec).group
                for spec in ("W(E6)", "Ext(PSL(2,27), frob)", "PSp(4,3)")]
     searched = [realize(spec).group for spec in
                 ("Sym(4)", "GL(2,3)", "PSL(2,7)", "Ext(PSL(2,8), frob)")]
-    assert all(len(G.walk_generators) < len(G.generators) for G in classed)
+    assert all(len(G.walk_generators) < len(G.generators)
+               for G in classed + [A3.perm_group])
 
     def results():
         return ([conjugacy_classes(G) for G in classed],
                 [[(R.order(), [str(g) for g in R.generators])
                   for R in carter_subgroups(G).representatives]
                  for G in searched],
-                e6_centralizer_scan())
+                e6_centralizer_scan(),
+                [f_conjugacy_classes(W, twist_by_name(W.system, name))
+                 for W, name in twisted])
 
     short = results()
     monkeypatch.setattr(PermGroup, "walk_generators",
