@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InputError
 from .linear.groupspec import realize
 from .permgrp.carter import FULL_SEARCH_CAP, carter_subgroups
 from .rootsys.roots import omega_fixed_roots, parse_type, root_system
@@ -88,6 +88,8 @@ def _cmd_check(args):
 
 
 def _cmd_carter(args):
+    if args.cap < 1:
+        raise InputError("--cap must be at least 1")
     G = realize(args.group_spec).group
     classes = carter_subgroups(G, cap=args.cap)
     lines = [f"{args.group_spec}: order {G.order()}, "
@@ -179,7 +181,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:    # a crash is not a failing check

@@ -13,7 +13,6 @@ from .classical import (
     scalar_count,
 )
 from .projective import (
-    DomainCapExceeded,
     ProjectiveAction,
     extend_by_autos,
     frobenius_perm,
@@ -22,14 +21,13 @@ from .projective import (
     projective_points,
     projective_rep,
 )
-from .groupspec import GroupSpecError, RealizedGroup, realize, realize_group
+from .groupspec import RealizedGroup, realize, realize_group
 
 __all__ = [
     "FiniteField", "field_make", "Matrix", "ClassicalGroupSpec",
     "classical_group", "form_matrix", "lie_order", "long_root_element",
     "matrix_group_order", "preserves_form", "scalar_count",
-    "DomainCapExceeded", "ProjectiveAction", "extend_by_autos",
-    "frobenius_perm", "graph_auto_perm", "linear_rep", "projective_points",
-    "projective_rep", "GroupSpecError", "RealizedGroup",
-    "realize", "realize_group",
+    "ProjectiveAction", "extend_by_autos", "frobenius_perm",
+    "graph_auto_perm", "linear_rep", "projective_points", "projective_rep",
+    "RealizedGroup", "realize", "realize_group",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+from ..errors import InputError
 from ..permgrp.group import PermGroup
 from ..permgrp.io import load_group
 from ..rootsys.roots import parse_type, root_system
@@ -26,10 +27,6 @@ from ..rootsys.weyl import weyl_group
 from .classical import ClassicalGroupSpec
 from .projective import (ProjectiveAction, extend_by_autos, frobenius_perm,
                          graph_auto_perm, linear_rep, projective_rep)
-
-
-class GroupSpecError(ValueError):
-    """Malformed group spec; the message names the offending production."""
 
 
 @dataclass
@@ -51,7 +48,7 @@ def _split_args(body: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise GroupSpecError("unbalanced parentheses in group spec")
+                raise InputError("unbalanced parentheses in group spec")
         if ch == "," and depth == 0:
             args.append("".join(cur))
             cur = []
@@ -60,21 +57,21 @@ def _split_args(body: str) -> list[str]:
     if cur or args:
         args.append("".join(cur))
     if depth != 0:
-        raise GroupSpecError("unbalanced parentheses in group spec")
+        raise InputError("unbalanced parentheses in group spec")
     return [a.strip() for a in args]
 
 
 def _int_arg(text: str, production: str) -> int:
     if not re.fullmatch(r"\d+", text):
-        raise GroupSpecError(f"expected an integer in {production}, got {text!r}")
+        raise InputError(f"expected an integer in {production}, got {text!r}")
     return int(text)
 
 
 def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
-    """Parse and build a group spec; raises GroupSpecError on bad syntax."""
+    """Parse and build a group spec; raises InputError on bad syntax."""
     m = _CALL_RE.match(spec_text)
     if not m:
-        raise GroupSpecError(
+        raise InputError(
             f"group spec must look like Name(args): {spec_text!r}")
     name, body = m.group(1), m.group(2)
     args = _split_args(body)
@@ -86,7 +83,7 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
 
     if name in ("SL", "GL", "Sp", "SU", "GU", "PSL", "PGL", "PSp", "PSU", "PGU"):
         if len(args) != 2:
-            raise GroupSpecError(f"{name}(n,q) takes two arguments")
+            raise InputError(f"{name}(n,q) takes two arguments")
         n, q = _int_arg(args[0], name), _int_arg(args[1], name)
         projective = name.startswith("P")
         family = name[1:] if projective else name
@@ -95,12 +92,12 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             action = (projective_rep(cspec, include_hyperplanes=need_hyperplanes)
                       if projective else linear_rep(cspec))
         except ValueError as exc:
-            raise GroupSpecError(f"{name}({n},{q}): {exc}") from exc
+            raise InputError(f"{name}({n},{q}): {exc}") from exc
         return RealizedGroup(f"{name}({n},{q})", action.group(), action=action)
 
     if name == "PGammaL":
         if len(args) != 2:
-            raise GroupSpecError("PGammaL(n,q) takes two arguments")
+            raise InputError("PGammaL(n,q) takes two arguments")
         n, q = _int_arg(args[0], name), _int_arg(args[1], name)
         return replace(
             realize(f"Ext(PGL({n},{q}), frob)", need_hyperplanes=need_hyperplanes),
@@ -108,21 +105,24 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
 
     if name == "Ext":
         if len(args) != 2:
-            raise GroupSpecError("Ext(<spec>, frob[^j] | graph) takes two arguments")
+            raise InputError("Ext(<spec>, frob[^j] | graph) takes two arguments")
         mode = args[1].strip()
         graph = mode == "graph"
         try:
             inner = realize(args[0], need_hyperplanes=need_hyperplanes or graph)
         except RecursionError:
-            raise GroupSpecError("Ext(...) is nested too deeply") from None
+            raise InputError("Ext(...) is nested too deeply") from None
         if inner.action is None:
-            raise GroupSpecError("Ext requires a matrix-realized inner group")
+            raise InputError("Ext requires a matrix-realized inner group")
         if graph:
-            auto = graph_auto_perm(inner.action)
+            try:
+                auto = graph_auto_perm(inner.action)
+            except ValueError as exc:
+                raise InputError(f"Ext({inner.label}, graph): {exc}") from exc
         else:
             fm = re.fullmatch(r"frob(?:\^(\d+))?", mode)
             if not fm:
-                raise GroupSpecError(f"unknown Ext automorphism {mode!r}")
+                raise InputError(f"unknown Ext automorphism {mode!r}")
             j = int(fm.group(1) or 1)
             auto = frobenius_perm(inner.action) ** j
         G = extend_by_autos(inner.group, [auto])
@@ -134,19 +134,19 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             t, rank = parse_type(_only(args, "W"))
             Phi = root_system(t, rank)
         except ValueError as exc:
-            raise GroupSpecError(f"W(<type><rank>): {exc}") from exc
+            raise InputError(f"W(<type><rank>): {exc}") from exc
         return RealizedGroup(f"W({t}{rank})", weyl_group(Phi).perm_group)
 
     if name == "File":
         path = _only(args, "File").strip()
         return RealizedGroup(f"File({path})", load_group(path))
 
-    raise GroupSpecError(f"unknown group constructor {name!r}")
+    raise InputError(f"unknown group constructor {name!r}")
 
 
 def _only(args: list[str], production: str) -> str:
     if len(args) != 1:
-        raise GroupSpecError(f"{production}(...) takes one argument")
+        raise InputError(f"{production}(...) takes one argument")
     return args[0]
 
 

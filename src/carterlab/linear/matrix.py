@@ -34,11 +34,6 @@ class Matrix:
     def transpose(self) -> Matrix:
         return Matrix(self.field, self.cols)
 
-    def frobenius(self) -> Matrix:
-        """The entrywise p-th power."""
-        F = self.field
-        return Matrix(F, (map(F.frobenius, row) for row in self.rows))
-
     def det(self) -> int:
         F, n = self.field, self.n
         m = [list(r) for r in self.rows]

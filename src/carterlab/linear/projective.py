@@ -33,10 +33,6 @@ from .matrix import Matrix
 DOMAIN_CAP = 10_000
 
 
-class DomainCapExceeded(CapExceeded):
-    pass
-
-
 def _normalize(F: FiniteField, v: tuple) -> tuple:
     for c in v:
         if c:
@@ -77,7 +73,7 @@ class ProjectiveAction:
         size = (F.size ** n - 1) // (1 if self.linear else F.size - 1)
         size *= 2 if self.include_hyperplanes else 1
         if size > DOMAIN_CAP:
-            raise DomainCapExceeded(f"domain size {size} exceeds {DOMAIN_CAP}")
+            raise CapExceeded(f"domain size {size} exceeds {DOMAIN_CAP}")
         self.points = nonzero_vectors(F, n) if self.linear else projective_points(F, n)
         self._index = {v: i for i, v in enumerate(self.points)}
 

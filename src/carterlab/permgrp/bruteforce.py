@@ -26,10 +26,6 @@ from .perm import Perm
 from .group import PermGroup
 
 
-class OracleCapExceeded(CapExceeded):
-    pass
-
-
 CLOSURE_CAP = 200_000   # elements in one closure
 SCAN_CAP = 20_000       # |G| for a scan of every element
 LATTICE_CAP = 400       # |G| for a subgroup-lattice walk
@@ -37,7 +33,7 @@ LATTICE_CAP = 400       # |G| for a subgroup-lattice walk
 
 def _check_order(G: PermGroup, cap: int) -> None:
     if G.order() > cap:
-        raise OracleCapExceeded(f"|G| = {G.order()} > {cap}")
+        raise CapExceeded(f"|G| = {G.order()} > {cap}")
 
 
 def closure(gens, degree: int) -> set:
@@ -53,7 +49,7 @@ def closure(gens, degree: int) -> set:
                     seen.add(h)
                     new.append(h)
                     if len(seen) > CLOSURE_CAP:
-                        raise OracleCapExceeded(f"closure larger than {CLOSURE_CAP}")
+                        raise CapExceeded(f"closure larger than {CLOSURE_CAP}")
         frontier = new
     return seen
 

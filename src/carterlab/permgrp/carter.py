@@ -35,10 +35,6 @@ FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
 
 
-class SearchCapError(CapExceeded):
-    """Raised when a full Carter search would exceed the configured cap."""
-
-
 @dataclass
 class SubgroupClassSet:
     """Conjugacy classes of subgroups of a common parent."""
@@ -84,7 +80,7 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup):
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
     """All conjugacy classes of Carter subgroups of G, by exhaustive search."""
     if G.order() > cap:
-        raise SearchCapError(
+        raise CapExceeded(
             f"|G| = {G.order()} exceeds the full-search cap {cap}; "
             "use is_carter_witness for single candidates")
     buckets: dict[tuple, list[PermGroup]] = {}
@@ -114,7 +110,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             reps = [rep for _, rep in _classes(G, prime)]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
-                raise SearchCapError(
+                raise CapExceeded(
                     f"normalizer order {N.order()} exceeds enumeration cap")
             reps = _prime_order_candidates(N, H)
         for x in reps:

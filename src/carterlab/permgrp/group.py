@@ -27,10 +27,6 @@ from operator import mul
 from .perm import Perm
 
 
-class DegreeMismatchError(ValueError):
-    pass
-
-
 def walk(transversal: dict, gens, act):
     """Grow ``transversal`` to the orbit of its points, breadth-first.
 
@@ -115,7 +111,7 @@ class PermGroup:
         gens = []
         for g in generators:
             if len(g) != degree:
-                raise DegreeMismatchError(
+                raise ValueError(
                     f"generator degree {len(g)} != group degree {degree}")
             g = g if isinstance(g, Perm) else Perm(g)
             if not g.is_identity() and g not in gens:
@@ -270,7 +266,7 @@ class PermGroup:
 
     def __contains__(self, g) -> bool:
         if len(g) != self.degree:
-            raise DegreeMismatchError(f"degree {len(g)} != {self.degree}")
+            raise ValueError(f"degree {len(g)} != {self.degree}")
         return self._strip(g if isinstance(g, Perm) else Perm(g)).is_identity()
 
     def is_subgroup_of(self, other: PermGroup) -> bool:

@@ -17,14 +17,6 @@ from .perm import Perm
 from .group import PermGroup, orbit
 
 
-class NotNormalError(ValueError):
-    pass
-
-
-class IndexCapExceeded(CapExceeded):
-    pass
-
-
 INDEX_CAP = 100_000
 
 
@@ -60,10 +52,10 @@ class QuotientProjection:
 def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, QuotientProjection]:
     """The quotient G/N as a faithful PermGroup, plus its projection map."""
     if not is_normal(G, N):
-        raise NotNormalError("N is not a normal subgroup of G")
+        raise ValueError("N is not a normal subgroup of G")
     index = G.order() // N.order()
     if index > INDEX_CAP:
-        raise IndexCapExceeded(f"index {index} exceeds cap {INDEX_CAP}")
+        raise CapExceeded(f"index {index} exceeds cap {INDEX_CAP}")
     n_elements = tuple(sorted(N.elements()))
     coset_key = partial(_coset_key, n_elements)
     keys = orbit([coset_key(Perm.identity(G.degree))], G.generators,

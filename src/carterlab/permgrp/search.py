@@ -47,10 +47,6 @@ from .perm import Perm
 from .group import PermGroup, orbits, walk
 
 
-class SearchCapExceeded(CapExceeded):
-    pass
-
-
 SUBGROUP_FINGERPRINT_CAP = 10_000
 CLASS_ENUMERATION_CAP = 1_000_000
 
@@ -94,9 +90,11 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
 def _orbit_search(G: PermGroup, start, act, target):
     """A g in G taking ``start`` to ``target`` under ``act``, or None.
 
-    The walk stops at ``target``; g is the transversal element that
-    reaches it.
+    The identity when ``start == target``; otherwise the walk stops at
+    ``target``, and g is the transversal element that reaches it.
     """
+    if start == target:
+        return Perm.identity(G.degree)
     transversal = {start: Perm.identity(G.degree)}
     for _, _, image, known in walk(transversal, G.walk_generators, act):
         if known is None and image == target:
@@ -124,7 +122,7 @@ def subgroup_centralizer(G: PermGroup, H: PermGroup) -> PermGroup:
 
 def _fingerprint(H: PermGroup) -> frozenset:
     if H.order() > SUBGROUP_FINGERPRINT_CAP:
-        raise SearchCapExceeded(
+        raise CapExceeded(
             f"subgroup order {H.order()} exceeds fingerprint cap "
             f"{SUBGROUP_FINGERPRINT_CAP}")
     return frozenset(H.elements())
@@ -180,8 +178,6 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
     """A g in G with x^g = y, or None.  Prunes by cycle type."""
     if x not in G or y not in G:
         raise ValueError("elements must lie in G")
-    if x == y:
-        return Perm.identity(G.degree)
     if x.cycle_type() != y.cycle_type():
         return None
     return _orbit_search(G, x, Perm.conjugate, y)
@@ -238,7 +234,7 @@ def _classes(G: PermGroup, elements) -> list:
     """Sorted (size, least member) of the G-classes that make up
     ``elements``; the other classes are never walked."""
     if G.order() > CLASS_ENUMERATION_CAP:
-        raise SearchCapExceeded(
+        raise CapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
     return sorted((len(o), min(o))
                   for o in orbits(elements, G.walk_generators, Perm.conjugate))

@@ -18,6 +18,7 @@ import functools
 import re
 from dataclasses import dataclass
 
+from ..errors import InputError
 from ..permgrp.group import orbit
 
 SUPPORTED = {
@@ -122,7 +123,7 @@ def parse_type(text: str) -> tuple[str, int]:
     """(type letter, rank) from text such as ``E6``, ``e6`` or ``g 2``."""
     m = re.fullmatch(r"\s*([A-Za-z])\s*(\d+)\s*", text)
     if not m:
-        raise ValueError(f"root-system type must look like E6, got {text!r}")
+        raise InputError(f"root-system type must look like E6, got {text!r}")
     return m.group(1).upper(), int(m.group(2))
 
 
@@ -130,7 +131,7 @@ def parse_type(text: str) -> tuple[str, int]:
 def root_system(type_label: str, rank: int) -> RootSystem:
     """Build (and memoize; systems are immutable) the root system."""
     if type_label not in SUPPORTED or rank not in SUPPORTED[type_label]:
-        raise ValueError(f"unsupported root system {type_label}{rank}")
+        raise InputError(f"unsupported root system {type_label}{rank}")
     simples = _simple_roots(type_label, rank)
     coords = reflection_closure(simples)
     ordered = tuple(sorted(coords))

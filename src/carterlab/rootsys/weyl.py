@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import CapExceeded, InputError
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup, orbits
-from ..permgrp.search import SearchCapExceeded
 from .roots import RootSystem, pairing
 
 F_CLASS_CAP = 51_840
@@ -116,14 +116,14 @@ def flip_twist(system: RootSystem) -> Twist:
     elif t == "E" and n == 6:
         mapping = (5, 1, 4, 3, 2, 0)
     else:
-        raise ValueError(f"no order-2 diagram symmetry for {t}{n}")
+        raise InputError(f"no order-2 diagram symmetry for {t}{n}")
     return _twist_from_simple_map(system, "flip", mapping)
 
 
 def triality_twist(system: RootSystem) -> Twist:
     """The order-3 symmetry of the D4 diagram (diagram-level only)."""
     if (system.type_label, system.rank) != ("D", 4):
-        raise ValueError("triality lives on D4")
+        raise InputError("triality lives on D4")
     # chain is a1-a2-a3 with a4 on the center a2; rotate a1 -> a3 -> a4 -> a1
     return _twist_from_simple_map(system, "triality", (2, 1, 3, 0))
 
@@ -135,7 +135,7 @@ def twist_by_name(system: RootSystem, name: str) -> Twist:
         return flip_twist(system)
     if name == "triality":
         return triality_twist(system)
-    raise ValueError(f"unknown twist {name!r}")
+    raise InputError(f"unknown twist {name!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
     if tau.system is not W.system and tau.system != W.system:
         raise ValueError("twist belongs to a different root system")
     if W.order() > F_CLASS_CAP:
-        raise SearchCapExceeded(
+        raise CapExceeded(
             f"|W| = {W.order()} beyond the exhaustive cap {F_CLASS_CAP}")
     t = tau.root_perm
     t_inv = t.inverse()
@@ -211,7 +211,7 @@ def torus_order(W: WeylGroupRep, w: Perm, tau: Twist, q: int) -> int:
 def check_field_size(q: int) -> None:
     """Reject q below 2, which is no field size."""
     if q < 2:
-        raise ValueError("q must be at least 2")
+        raise InputError("q must be at least 2")
 
 
 def _evaluate(poly, q: int) -> int:

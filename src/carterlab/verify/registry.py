@@ -12,10 +12,11 @@ expected class count and representative order was found; those marked
 
 from __future__ import annotations
 
+from ..errors import CapExceeded
 from ..linear.classical import ClassicalGroupSpec, classical_group, long_root_element
 from ..linear.groupspec import realize
 from ..linear.projective import frobenius_perm
-from ..permgrp.bruteforce import OracleCapExceeded, brute_carter_classes
+from ..permgrp.bruteforce import brute_carter_classes
 from ..permgrp.carter import (carter_class_containing_sylow2, carter_subgroups,
                               check_syl2_criterion, is_carter_witness)
 from ..permgrp.group import PermGroup, orbits
@@ -523,7 +524,7 @@ def regenerate_derived() -> dict:
         G = realize(spec).group
         try:
             reps = brute_carter_classes(G)
-        except OracleCapExceeded:
+        except CapExceeded:
             continue
         orders = sorted(r.order() for r in reps)
         out[case_id] = {"classes": len(reps),

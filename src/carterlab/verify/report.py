@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import CapExceeded
+from ..errors import CapExceeded, InputError
 
 
 class SkipCase(Exception):
@@ -98,12 +98,12 @@ class Registry:
 
     def case(self, case_id: str) -> CheckCase:
         if case_id not in self._cases:
-            raise KeyError(f"unknown case id {case_id!r}")
+            raise InputError(f"unknown case id {case_id!r}")
         return self._cases[case_id]
 
     def list_cases(self, tier: str | None = None) -> list[CheckCase]:
         if tier is not None and tier not in ("quick", "full"):
-            raise ValueError(f"unknown tier {tier!r}")
+            raise InputError(f"unknown tier {tier!r}")
         return [c for c in self._cases.values()
                 if tier is None or c.tier == tier]
 

@@ -8,8 +8,8 @@ from carterlab.permgrp.bruteforce import (all_subgroups, brute_carter_classes,
                                           brute_centralizer, brute_normalizer,
                                           brute_subgroup_conjugator,
                                           closure_order)
-from carterlab.permgrp.carter import (SearchCapError,
-                                      carter_class_containing_sylow2,
+from carterlab.errors import CapExceeded
+from carterlab.permgrp.carter import (carter_class_containing_sylow2,
                                       carter_subgroups, check_syl2_criterion,
                                       is_carter_witness)
 from carterlab.permgrp.group import PermGroup
@@ -228,7 +228,7 @@ def test_witness_matches_oracle_on_random_subgroups(corpus):
 def test_search_cap():
     from carterlab.linear.groupspec import realize
     G = realize("Sp(4,3)").group
-    with pytest.raises(SearchCapError):
+    with pytest.raises(CapExceeded, match="exceeds the full-search cap 10000"):
         carter_subgroups(G, cap=10_000)
 
 

@@ -49,8 +49,8 @@ def test_crashing_case_exits_4(capsys, monkeypatch):
 
 
 def test_unknown_case_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "check", "run", "nope")
-    assert code == 2
+    code, out, err = run_cli(capsys, "check", "run", "nosuch")
+    assert (code, out, err) == (2, "", "error: unknown case id 'nosuch'\n")
 
 
 def test_unknown_tier_is_usage_error(capsys):
@@ -102,6 +102,12 @@ def test_carter_text_report_is_pinned(capsys, spec):
 def test_carter_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "carter", "Sp(4,3)", "--cap", "100")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_carter_cap_below_one_exits_2(capsys, cap):
+    code, out, err = run_cli(capsys, "carter", "Sym(4)", "--cap", cap)
+    assert (code, out, err) == (2, "", "error: --cap must be at least 1\n")
 
 
 def test_carter_beyond_class_cap_exits_3(capsys, monkeypatch):
@@ -197,15 +203,19 @@ def test_deeply_nested_spec_exits_2(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_crashing_command_exits_4_without_traceback(capsys, monkeypatch):
+# only InputError means bad input: the builtin types it derives from are
+# crashes when anything else raises them
+@pytest.mark.parametrize("exc_type", [RuntimeError, ValueError, KeyError, OSError])
+def test_crashing_command_exits_4_without_traceback(capsys, monkeypatch, exc_type):
     from carterlab import cli
+    exc = exc_type("realize crashed")
 
     def crash(spec):
-        raise RuntimeError("realize crashed")
+        raise exc
 
     monkeypatch.setattr(cli, "realize", crash)
     code, out, err = run_cli(capsys, "group", "info", "PSL(2,7)")
-    assert (code, out, err) == (4, "", "error: RuntimeError: realize crashed\n")
+    assert (code, out, err) == (4, "", f"error: {exc_type.__name__}: {exc}\n")
 
 
 def test_group_info(capsys):
@@ -256,13 +266,9 @@ def test_torus_beyond_class_cap_exits_3(capsys, monkeypatch):
 
 
 def test_every_cap_exits_3(capsys, monkeypatch):
-    from carterlab.errors import CapExceeded
     from carterlab.linear import projective
-    from carterlab.permgrp import bruteforce, carter, quotient, search
-    for exc in (carter.SearchCapError, search.SearchCapExceeded,
-                projective.DomainCapExceeded, quotient.IndexCapExceeded,
-                bruteforce.OracleCapExceeded):
-        assert issubclass(exc, CapExceeded), exc
+    code, out, err = run_cli(capsys, "carter", "Sym(5)", "--cap", "100")
+    assert (code, out) == (3, "") and "full-search cap 100" in err
     monkeypatch.setattr(projective, "DOMAIN_CAP", 5)     # PSL(2,7) acts on 8 points
     code, _, err = run_cli(capsys, "group", "info", "PSL(2,7)")
     assert code == 3 and "cap" in err
@@ -275,11 +281,24 @@ def test_missing_group_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_unreadable_group_files_exit_2(capsys, tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"degree": 3, "generators": [], "name": "\xe9"}')
+    for path in (latin, tmp_path):      # not UTF-8, and a directory
+        code, out, err = run_cli(capsys, "group", "info", f"File({path})")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payload", [
     '{"degree": 3, "generators": [[["a", 1]]]}',
     '[1, 2]',
     '{"degree": 3, "generators": 5}',
     '{"degree": 3, "generators": [[[0, 1.5]]]}',
+    '{"degree": 3, "generators": [[[0, 5]]]}',
+    '{"degree": 3, "generators": [[[0, 1], [1, 2]]]}',
+    '{"degree": 3, "generators": [[[0, 1, 0]]]}',
+    '{"degree": 3,',
 ])
 def test_malformed_group_file_exits_2(capsys, tmp_path, payload):
     path = tmp_path / "group.json"
@@ -290,9 +309,7 @@ def test_malformed_group_file_exits_2(capsys, tmp_path, payload):
 
 
 def test_group_file_above_degree_cap_exits_3(capsys, tmp_path, monkeypatch):
-    from carterlab.errors import CapExceeded
     from carterlab.permgrp import io
-    assert issubclass(io.DegreeCapExceeded, CapExceeded)
     path = tmp_path / "group.json"
     path.write_text('{"degree": 6, "generators": [[[0, 5]]]}')
     code, _, _ = run_cli(capsys, "group", "info", f"File({path})")
@@ -308,6 +325,19 @@ def test_torus_q_below_two_exits_2(capsys, q):
     code, out, err = run_cli(capsys, "torus", "G2", "--q", q)
     assert code == 2 and out == ""
     assert err == "error: q must be at least 2\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("torus", "B3", "--twist", "flip", "--q", "2"),
+     "no order-2 diagram symmetry for B3"),
+    (("torus", "A2", "--twist", "triality", "--q", "2"), "triality lives on D4"),
+    (("group", "info", "Ext(PSL(2,7), graph)"),
+     "graph automorphism needs dimension >= 3"),
+])
+def test_unsupported_diagram_symmetries_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_torus_checks_q_before_walking_classes(capsys, monkeypatch):

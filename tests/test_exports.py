@@ -1,10 +1,12 @@
 """Every package's ``__all__`` names exactly what its ``__init__`` imports,
-and every public name of the engine is used by the engine itself."""
+every public name of the engine is used by the engine itself, and the
+package defines no exception types beyond its four."""
 
 import ast
 import importlib
 import inspect
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -84,3 +86,19 @@ def test_every_public_name_is_referenced_or_allowed():
     unreferenced = {qual for qual, name, method in defined
                     if name not in attributes and (method or name not in names)}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_exception_types_are_exactly_the_four():
+    """One type per outcome: ``InputError`` exits 2, ``CapExceeded`` exits
+    3 (and skips a case), ``SkipCase`` skips and ``CheckFailure`` fails a
+    case.  A new exception class would be a fifth outcome no caller
+    tells apart."""
+    defined = set()
+    for info in pkgutil.walk_packages(carterlab.__path__, "carterlab."):
+        module = importlib.import_module(info.name)
+        defined |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == info.name}
+    assert defined == {"carterlab.errors.CapExceeded", "carterlab.errors.InputError",
+                       "carterlab.verify.report.SkipCase",
+                       "carterlab.verify.report.CheckFailure"}

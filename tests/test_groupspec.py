@@ -1,6 +1,7 @@
 import pytest
 
-from carterlab.linear.groupspec import GroupSpecError, realize, realize_group
+from carterlab.errors import InputError
+from carterlab.linear.groupspec import realize, realize_group
 from carterlab.permgrp.io import group_to_json
 
 
@@ -51,7 +52,7 @@ def test_file_source(tmp_path):
     "W(H3)", "SL(2)", "PSL(2,6)", "Sym(3,4)",
 ])
 def test_malformed_specs_rejected(bad):
-    with pytest.raises(GroupSpecError):
+    with pytest.raises(InputError):
         realize(bad)
 
 

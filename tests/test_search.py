@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from carterlab.errors import CapExceeded
 from carterlab.permgrp import bruteforce as bf
 from carterlab.permgrp import search
 from carterlab.permgrp.group import PermGroup
@@ -59,7 +60,7 @@ def test_fingerprint_cap_still_bounds_the_fingerprint_walk(monkeypatch):
     # the partition stabilizer of <(0 1)(2 3)> in Sym(4) has order 8, so
     # the normalizer needs the fingerprint walk
     monkeypatch.setattr(search, "SUBGROUP_FINGERPRINT_CAP", 1)
-    with pytest.raises(search.SearchCapExceeded):
+    with pytest.raises(CapExceeded, match="exceeds fingerprint cap 1"):
         subgroup_normalizer(S(4), PermGroup([cyc(4, (0, 1), (2, 3))], 4))
 
 
@@ -264,6 +265,11 @@ def test_conjugate_elements_identity_case():
     G = S(4)
     x = cyc(4, (0, 1, 2))
     assert are_conjugate_elements(G, x, x).is_identity()
+
+
+def test_orbit_search_from_a_point_to_itself_is_the_identity():
+    x = cyc(5, (0, 1, 2))
+    assert search._orbit_search(S(5), x, Perm.conjugate, x).is_identity()
 
 
 def test_conjugacy_requires_membership():

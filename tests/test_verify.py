@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from carterlab.errors import CapExceeded, InputError
 from carterlab.verify import (CARTER_CATALOG, REGISTRY, CheckReport,
                               regenerate_derived, render_reports)
 
@@ -20,12 +21,13 @@ def test_tier_filtering():
     assert "norm2syl-psl2-7" in quick
     assert "pgammal-2-27-witness" in full
     assert not quick & full
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="unknown tier 'weekly'"):
         REGISTRY.list_cases("weekly")
 
 
 def test_unknown_case_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError,
+                       match="unknown case id 'definitely-not-a-case'"):
         REGISTRY.run_case("definitely-not-a-case")
 
 
@@ -74,11 +76,10 @@ def test_explicit_skips_carry_reasons():
 
 
 def test_every_cap_overrun_is_a_skip(monkeypatch):
-    from carterlab.permgrp.quotient import IndexCapExceeded
     from carterlab.verify import registry
 
     def over_cap(G, N):
-        raise IndexCapExceeded("index 7 exceeds cap 6")
+        raise CapExceeded("index 7 exceeds cap 6")
 
     monkeypatch.setattr(registry, "quotient_group", over_cap)
     r = REGISTRY.run_case("carter-quotient-suite")
