@@ -11,12 +11,14 @@ Self-normalizing nodes are exactly the Carter classes.
 
 Three economies keep this desk-sized.  Extension candidates are taken
 up to N_G(H)-conjugacy (conjugate candidates give G-conjugate
-extensions, since they fix H).  The first layer, G's classes of
-prime-order elements, is listed by the class lister that
-``conjugacy_classes`` uses, fed only those elements, so the other
-classes are never walked.  Class deduplication buckets subgroups by
-(order, orbit signature, element-order multiset), computed once per
-subgroup, before running a conjugacy search.
+extensions, since they fix H).  Both the first layer, G's classes of
+prime-order elements, and the candidates of later layers are listed by
+the one class lister that ``conjugacy_classes`` uses, given the
+candidate test as a class function: it tests one element per listed
+class and never walks the classes the test rejects.  Class
+deduplication buckets subgroups by (order, orbit signature,
+element-order multiset), computed once per subgroup, before running a
+conjugacy search.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import CapExceeded
-from .group import PermGroup, orbits
-from .perm import Perm
+from .group import PermGroup
 from .search import (_classes, are_conjugate_subgroups, subgroup_centralizer,
                      subgroup_normalizer)
 from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
@@ -66,15 +67,15 @@ def _order_multiset(H: PermGroup) -> tuple:
 def _prime_order_candidates(N: PermGroup, H: PermGroup):
     """Elements of N of prime order modulo H, up to N-conjugacy.
 
-    Deterministic: each orbit representative is the least element of its
-    N-class.  The candidate set is N-invariant, since N normalizes H.
+    Deterministic: each representative is the least element of its
+    N-class.  ``prime_step`` is a class function of N, as ``_classes``
+    requires, since N normalizes H.
     """
     def prime_step(y) -> bool:
         # yH has prime order iff yH != H and y^p lies in H for a prime p | o(y)
         return y not in H and any((y ** p) in H for p in prime_factors(y.order()))
 
-    candidates = (y for y in N.elements() if prime_step(y))
-    return sorted(min(o) for o in orbits(candidates, N.walk_generators, Perm.conjugate))
+    return sorted(rep for _, rep in _classes(N, prime_step))
 
 
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
@@ -106,8 +107,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: prime-order class representatives of G itself
-            prime = (y for y in G.elements() if is_prime(y.order()))
-            reps = [rep for _, rep in _classes(G, prime)]
+            reps = [rep for _, rep in _classes(G, lambda y: is_prime(y.order()))]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise CapExceeded(

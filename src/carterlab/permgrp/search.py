@@ -34,17 +34,25 @@ a short generating set derived once per group, in a fixed order, so
 every result (including returned conjugators) is deterministic.  No
 other result depends on which generators a walk uses: orbits,
 stabilizer orders and yes/no answers are the group's own, and class
-representatives are least members, taken with ``min`` because
-``group.orbits`` starts each orbit at its first unseen input point.
-Walks that need no transversal (orbit partitions, closures) use
-``group.orbit`` and ``group.orbits``.
+representatives are least members, taken with ``min``.  Walks that need
+no transversal (orbit partitions, classes) use ``group.orbits`` and
+``group.orbit``.
+
+One class lister, ``_classes``, serves ``conjugacy_classes``, the
+Carter search's first layer and its extension candidates.  It walks
+``G.elements()`` in order and remembers each member of a listed class
+only by its base images: an element of G is fixed by its images of a
+base, so a few ints stand for a whole permutation and the group is
+never held.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..errors import CapExceeded
 from .perm import Perm
-from .group import PermGroup, orbits, walk
+from .group import PermGroup, orbit, walk
 
 
 SUBGROUP_FINGERPRINT_CAP = 10_000
@@ -220,24 +228,41 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
 def conjugacy_classes(G: PermGroup):
     """All conjugacy classes as (representative, size), deterministically.
 
-    Enumerates the group and partitions it by conjugation orbits; class
-    sizes therefore certify completeness by summing to |G|.  The
-    representative is the lexicographically least element of its class.
-    Classes are sorted by (size, representative).
+    Lists every class with ``_classes``; class sizes therefore certify
+    completeness by summing to |G|.  The representative is the
+    lexicographically least element of its class.  Classes are sorted
+    by (size, representative).
     """
-    classes = [(rep, size) for size, rep in _classes(G, G.elements())]
+    classes = [(rep, size) for size, rep in _classes(G)]
     assert sum(size for _, size in classes) == G.order()
     return classes
 
 
-def _classes(G: PermGroup, elements) -> list:
-    """Sorted (size, least member) of the G-classes that make up
-    ``elements``; the other classes are never walked."""
+def _classes(G: PermGroup, keep=None) -> list:
+    """Sorted (size, least member) of the G-classes whose members pass
+    ``keep`` (all classes when it is None); ``keep`` must be a class
+    function, and the other classes are never walked.
+
+    Walks ``G.elements()`` in order and skips each member of a class
+    already listed before calling ``keep``, so ``keep`` runs once per
+    listed class (and on every member of a class it rejects).  A listed
+    member is remembered by its base images alone, which determine it
+    within G.
+    """
     if G.order() > CLASS_ENUMERATION_CAP:
         raise CapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
-    return sorted((len(o), min(o))
-                  for o in orbits(elements, G.walk_generators, Perm.conjugate))
+    # with one point itemgetter returns a bare int, a key as good as a
+    # tuple; with none it raises, but then G is trivial: one element
+    key = itemgetter(*G.base) if G.base else len
+    listed, classes = set(), []
+    for y in G.elements():
+        if key(y) in listed or (keep is not None and not keep(y)):
+            continue
+        members = orbit([y], G.walk_generators, Perm.conjugate)
+        listed.update(map(key, members))
+        classes.append((len(members), min(members)))
+    return sorted(classes)
 
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,

@@ -9,13 +9,16 @@ from carterlab.permgrp.bruteforce import (all_subgroups, brute_carter_classes,
                                           brute_subgroup_conjugator,
                                           closure_order)
 from carterlab.errors import CapExceeded
-from carterlab.permgrp.carter import (carter_class_containing_sylow2,
+from carterlab.permgrp.carter import (_prime_order_candidates,
+                                      carter_class_containing_sylow2,
                                       carter_subgroups, check_syl2_criterion,
                                       is_carter_witness)
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
-from carterlab.permgrp.search import are_conjugate_subgroups
-from carterlab.permgrp.sylow import commutator_subgroup, p_part, sylow_subgroup
+from carterlab.permgrp.search import (are_conjugate_subgroups,
+                                      subgroup_normalizer)
+from carterlab.permgrp.sylow import (commutator_subgroup, is_prime, p_part,
+                                     prime_factors, sylow_subgroup)
 
 
 SMALL_EXPECTED = {
@@ -264,6 +267,46 @@ def test_carter_of_direct_factor_projection():
     assert classes.representatives[0].order() == 16
 
 
+def _reference_candidates(N: PermGroup, H: PermGroup) -> list:
+    """Least members of the N-classes of the y in N with yH of prime
+    order, by conjugating with every element of N."""
+    in_H = frozenset(H.elements())
+    elements = list(N.elements())
+
+    def coset_order(y):
+        z, k = y, 1
+        while z not in in_H:
+            z, k = z * y, k + 1
+        return k
+
+    seen, reps = set(), []
+    for y in elements:
+        if y not in seen and is_prime(coset_order(y)):
+            cls = {y.conjugate(n) for n in elements}
+            seen |= cls
+            reps.append(min(cls))
+    return sorted(reps)
+
+
+def test_prime_order_candidates_match_a_reference(corpus):
+    """``_prime_order_candidates(N_G(H), H)`` for H trivial, a Sylow
+    subgroup and a cyclic subgroup of prime order (a first-layer node),
+    wherever |N_G(H)| <= 500."""
+    cases = 0
+    for spec, G in corpus.items():
+        x = next(y for y in G.elements() if is_prime(y.order()))
+        Hs = [PermGroup.trivial(G.degree), PermGroup([x], G.degree)]
+        Hs += [sylow_subgroup(G, p) for p in prime_factors(G.order())]
+        for H in Hs:
+            N = subgroup_normalizer(G, H)
+            if N.order() > 500:
+                continue
+            assert (_prime_order_candidates(N, H)
+                    == _reference_candidates(N, H)), (spec, H)
+            cases += 1
+    assert cases >= 100, cases
+
+
 def test_flagship_like_search_conjugation_count(monkeypatch):
     """A perf gate that does not depend on the machine: Perm.conjugate calls.
 
@@ -286,6 +329,30 @@ def test_flagship_like_search_conjugation_count(monkeypatch):
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
     assert calls[0] <= 6_338
+
+
+def test_flagship_like_search_membership_count(monkeypatch):
+    """A perf gate that does not depend on the machine: membership tests.
+
+    The class lister skips every member of a class already listed
+    before it tests a candidate, so the extension candidates' test,
+    which sifts, runs once per listed class and on the members of the
+    rejected classes (1,431 calls when it ran on every element of the
+    normalizer); it is deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,8), frob)").group
+    calls = [0]
+    contains = PermGroup.__contains__
+
+    def counting(self, g):
+        calls[0] += 1
+        return contains(self, g)
+
+    monkeypatch.setattr(PermGroup, "__contains__", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [6]
+    assert calls[0] <= 713
 
 
 def test_partition_walk_count(monkeypatch):

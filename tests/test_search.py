@@ -181,14 +181,14 @@ def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
 
 
 def test_first_layer_is_the_prime_order_classes(corpus):
-    """The class lister fed only prime-order elements, as the Carter
-    search's first layer feeds it, gives the prime-order classes of
+    """The class lister keeping only prime-order elements, as the Carter
+    search's first layer asks it to, gives the prime-order classes of
     ``conjugacy_classes`` without walking the other classes."""
     layers = 0
     for spec, G in corpus.items():
         expected = [(size, rep) for rep, size in conjugacy_classes(G)
                     if is_prime(rep.order())]
-        prime = (y for y in G.elements() if is_prime(y.order()))
+        prime = lambda y: is_prime(y.order())
         assert search._classes(G, prime) == expected, spec
         layers += len(expected) > 1
     assert layers >= 25, layers
@@ -317,7 +317,22 @@ def test_class_structure_of_sym3():
 
 
 def test_class_structure_of_trivial_group():
-    assert len(conjugacy_classes(PermGroup.trivial(3))) == 1
+    # the lister keys members by their base images, and here the base is
+    # empty: ``itemgetter`` over no points raises
+    for n in (1, 3):
+        G = PermGroup.trivial(n)
+        assert G.base == ()
+        assert conjugacy_classes(G) == [(Perm.identity(n), 1)]
+
+
+def test_classes_of_groups_with_a_one_point_base():
+    """The lister keys members by their base images; ``itemgetter`` over
+    one point returns a bare int, not a tuple."""
+    WA1 = weyl_group(root_system("A", 1)).perm_group
+    for G in (S(2), WA1):
+        assert len(G.base) == 1
+        swap = next(g for g in G.elements() if not g.is_identity())
+        assert conjugacy_classes(G) == [(G.identity(), 1), (swap, 1)]
 
 
 def test_class_sizes_sum_and_reps_canonical(corpus):

@@ -352,3 +352,23 @@ def test_e6_scan_conjugation_count(monkeypatch):
         3, 2, 3, 5, 5, 1, 7, 1, 1, 1, 4, 3, 3, 3, 3, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
     assert all(r.passed for r in results)
     assert calls[0] <= 109_361
+
+
+def test_e6_class_listing_memory():
+    """A memory gate for class listing: the lister remembers each member
+    by its base images, not as a degree-72 permutation, so listing the
+    classes of W(E6) never holds its 51,840 elements (34.5 MB at peak
+    when it did).  The class list itself is pinned by its SHA-256."""
+    import tracemalloc
+    W = weyl_group(root_system("E", 6)).perm_group
+    W.walk_generators               # derived once per group, before the gate
+    tracemalloc.start()
+    try:
+        classes = conjugacy_classes(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 25
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
+        "80b4309c34642ac95fc6e7bb3fc36120b770150cef833ffc532613a3b3501a03")
+    assert peak < 16_000_000, peak
