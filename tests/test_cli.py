@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import carterlab
 from carterlab.cli import main
 
 
@@ -99,6 +104,26 @@ def test_carter_text_report_is_pinned(capsys, spec):
     assert run_cli(capsys, "carter", spec) == (0, CARTER_TEXT[spec], "")
 
 
+def run_cli_process(*argv, hash_seed):
+    """The CLI in a fresh interpreter, whose str and bytes hashes are
+    salted by ``hash_seed``."""
+    src = pathlib.Path(carterlab.__file__).parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "carterlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_carter_text_does_not_depend_on_the_hash_seed():
+    """Permutations hash like bytes, salted per process: no report may
+    depend on the iteration order of a set of them."""
+    runs = [run_cli_process("carter", "Ext(PSL(2,8), frob)", hash_seed=seed)
+            for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith(
+        "Ext(PSL(2,8), frob): order 1512, 1 Carter class(es)")
+
+
 def test_carter_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "carter", "Sp(4,3)", "--cap", "100")
     assert code == 3 and "cap" in err
@@ -145,6 +170,22 @@ def test_torus_command(capsys):
                            "--format", "json")
     payload = json.loads(out)
     assert {c["order"] for c in payload["classes"]} >= {16, 8, 7}
+
+
+# SHA-256 of the full `torus E6 --q 2` JSON.  The golden torus cases stop
+# at F4, so these pin E6's split and twisted classes.
+TORUS_E6_SHA256 = {
+    "id": "5911381be1a0932379ed27d9ecba799116a50a5b302f2d389ebc9b45bbf3c4ba",
+    "flip": "c13d7ca999898e4e8d255e10ef3feead8b1b478ff7766048a5fd86e53c34aa0f",
+}
+
+
+@pytest.mark.parametrize("twist", sorted(TORUS_E6_SHA256))
+def test_torus_e6_json_is_pinned(capsys, twist):
+    code, out, _ = run_cli(capsys, "torus", "E6", "--twist", twist, "--q", "2",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TORUS_E6_SHA256[twist]
 
 
 def test_torus_2e6_has_q_plus_one_to_the_sixth_torus(capsys):
@@ -221,6 +262,16 @@ def test_crashing_command_exits_4_without_traceback(capsys, monkeypatch, exc_typ
 def test_group_info(capsys):
     code, out, _ = run_cli(capsys, "group", "info", "PSL(2,7)")
     assert code == 0 and "order 168" in out
+
+
+def test_group_info_above_degree_256(capsys):
+    """Permutations of degree above 256 do not fit in bytes; they take
+    the tuple kernel."""
+    code, out, _ = run_cli(capsys, "group", "info", "PSL(2,257)", "--format", "json")
+    assert code == 0
+    info = json.loads(out)
+    assert (info["degree"], info["order"], info["base"], info["orbit_lengths"]) == \
+        (258, 8487168, [1, 0, 2], [258])
 
 
 @pytest.mark.parametrize("text", ["A2", "c3", "g 2", "E6x", "6E", "Q3", "E", "", "2"])
