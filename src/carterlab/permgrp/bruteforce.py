@@ -22,7 +22,7 @@ with H, so the rest of it adds nothing.
 from __future__ import annotations
 
 from ..errors import CapExceeded
-from .perm import Perm
+from .perm import PERM_TYPES, Perm
 from .group import PermGroup
 
 
@@ -70,7 +70,7 @@ def brute_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
 
 def brute_centralizer(G: PermGroup, xs) -> PermGroup:
     """C_G(xs) by scanning every element of G; xs is a Perm or iterable."""
-    if isinstance(xs, Perm):
+    if isinstance(xs, PERM_TYPES):
         xs = [xs]
     xs = list(xs)
     _check_order(G, SCAN_CAP)

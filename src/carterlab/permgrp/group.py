@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import chain
 from operator import mul
 
-from .perm import Perm
+from .perm import PERM_TYPES, Perm
 
 
 def walk(transversal: dict, gens, act):
@@ -113,7 +113,7 @@ class PermGroup:
             if len(g) != degree:
                 raise ValueError(
                     f"generator degree {len(g)} != group degree {degree}")
-            g = g if isinstance(g, Perm) else Perm(g)
+            g = g if isinstance(g, PERM_TYPES) else Perm(g)
             if not g.is_identity() and g not in gens:
                 gens.append(g)
         self.degree = degree
@@ -267,7 +267,7 @@ class PermGroup:
     def __contains__(self, g) -> bool:
         if len(g) != self.degree:
             raise ValueError(f"degree {len(g)} != {self.degree}")
-        return self._strip(g if isinstance(g, Perm) else Perm(g)).is_identity()
+        return self._strip(g if isinstance(g, PERM_TYPES) else Perm(g)).is_identity()
 
     def is_subgroup_of(self, other: PermGroup) -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)

@@ -1,15 +1,36 @@
-"""Permutations on {0, ..., n-1} stored as image tuples.
+"""Permutations on {0, ..., n-1}, stored as bytes up to degree 256.
 
-A permutation is a tuple ``p`` with ``p[i]`` the image of point ``i``.
+A permutation ``p`` lists images: ``p[i]`` is the image of point ``i``.
 Products compose left-to-right: ``(a * b)[i] == b[a[i]]`` (apply ``a``
 first), so groups act on the right and ``x.conjugate(g)`` is ``g⁻¹xg``.
 All algorithms in this package rely on that convention.
 
-A product gathers ``other``'s images at ``self``'s through
-``operator.itemgetter``, which runs the loop in C.  At degree 0 or 1
-``itemgetter`` cannot return a tuple (with one index it returns a
-scalar, with none it raises), so products of degree below 2 take a
-separate branch: there the only permutation is the identity.
+A ``Perm`` of degree n <= ``NARROW_DEGREE`` (256) is a ``bytes`` of
+length n, one image per byte, so each kernel operation is one or two C
+calls.  With ``_ID = bytes(range(256))``, ``b + _ID[n:]`` is a 256-byte
+translation table that maps i to ``b[i]`` for i < n:
+
+- product: ``a.translate(b + _ID[n:])`` has ``b[a[i]]`` at i;
+- inverse: ``bytes.maketrans(a, _ID[:n])`` has i at ``a[i]``;
+- conjugate: ``bytes.maketrans(g, x.translate(g + _ID[n:]))`` has
+  ``g[x[i]]`` at ``g[i]``, which is where ``g⁻¹xg`` has it.
+
+``maketrans`` returns a whole 256-byte table; its first n bytes are the
+permutation.  Bytes compare lexicographically, as tuples of ints below
+256 do, so ``min``, ``sorted`` and least class members are the same
+permutations in either form.  A bytes object caches its hash, but the
+hash is salted per process, so no output may depend on the iteration
+order of a set of permutations.
+
+A byte holds no image above 255.  A permutation of larger degree is a
+``_WidePerm``: a tuple of images with the same methods and a kernel of
+Python loops and ``operator.itemgetter`` gathers.  ``Perm(images)``
+returns whichever class fits the degree, ``PERM_TYPES`` names both for
+``isinstance``, and an orbit walk acts by ``type(x).conjugate``, which
+fits either.  ``NARROW_DEGREE`` is a module constant that tests
+lower to send every permutation of degree 2 or more through the wide
+class; it must stay at least 1, because ``itemgetter`` over fewer than
+two images returns no tuple.
 """
 
 from __future__ import annotations
@@ -18,17 +39,14 @@ import functools
 import math
 from operator import itemgetter
 
+NARROW_DEGREE = 256
+_ID = bytes(range(256))
 
-class Perm(tuple):
-    """An immutable permutation; subclasses tuple, so it hashes and sorts."""
+
+class _PermMethods:
+    """The methods both layouts share: they only index images."""
 
     __slots__ = ()
-
-    def __new__(cls, images):
-        p = super().__new__(cls, images)
-        if sorted(p) != list(range(len(p))):
-            raise ValueError("images are not a bijection on 0..n-1")
-        return p
 
     @classmethod
     def identity(cls, degree: int) -> Perm:
@@ -45,7 +63,7 @@ class Perm(tuple):
                     raise ValueError(f"bad cycle point {a}")
                 seen.add(a)
                 images[a] = b
-        return cls(images)
+        return Perm(images)
 
     @property
     def degree(self) -> int:
@@ -53,17 +71,6 @@ class Perm(tuple):
 
     def is_identity(self) -> bool:
         return self == _identity(len(self))
-
-    def __mul__(self, other):  # apply self, then other
-        if len(self) < 2:
-            return self
-        return tuple.__new__(Perm, itemgetter(*self)(other))
-
-    def inverse(self) -> Perm:
-        inv = [0] * len(self)
-        for i, j in enumerate(self):
-            inv[j] = i
-        return tuple.__new__(Perm, inv)
 
     def __pow__(self, k: int) -> Perm:
         n = len(self)
@@ -77,13 +84,6 @@ class Perm(tuple):
             b = b * b
             k >>= 1
         return r
-
-    def conjugate(self, g) -> Perm:
-        """Return g⁻¹ * self * g."""
-        out = [0] * len(self)
-        for gi, xi in zip(g, self):
-            out[gi] = g[xi]
-        return tuple.__new__(Perm, out)
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -133,7 +133,61 @@ class Perm(tuple):
         return f"Perm[{self.degree}]{self}"
 
 
+class Perm(_PermMethods, bytes):
+    """An immutable permutation; subclasses bytes, so it hashes and sorts.
+
+    ``Perm(images)`` of degree above ``NARROW_DEGREE`` returns a
+    ``_WidePerm`` instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, images):
+        images = tuple(images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError("images are not a bijection on 0..n-1")
+        if len(images) > NARROW_DEGREE:
+            return tuple.__new__(_WidePerm, images)
+        return bytes.__new__(cls, images)
+
+    def __mul__(self, other):  # apply self, then other
+        return bytes.__new__(Perm, self.translate(other + _ID[len(self):]))
+
+    def inverse(self) -> Perm:
+        n = len(self)
+        return bytes.__new__(Perm, bytes.maketrans(self, _ID[:n])[:n])
+
+    def conjugate(self, g) -> Perm:
+        """Return g⁻¹ * self * g."""
+        n = len(self)
+        return bytes.__new__(Perm, bytes.maketrans(g, self.translate(g + _ID[n:]))[:n])
+
+
+class _WidePerm(_PermMethods, tuple):
+    """A permutation of degree above ``NARROW_DEGREE``, as a tuple of images."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):  # apply self, then other
+        return tuple.__new__(_WidePerm, itemgetter(*self)(other))
+
+    def inverse(self) -> _WidePerm:
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
+            inv[j] = i
+        return tuple.__new__(_WidePerm, inv)
+
+    def conjugate(self, g) -> _WidePerm:
+        """Return g⁻¹ * self * g."""
+        out = [0] * len(self)
+        for gi, xi in zip(g, self):
+            out[gi] = g[xi]
+        return tuple.__new__(_WidePerm, out)
+
+
+PERM_TYPES = (Perm, _WidePerm)
+
+
 @functools.cache
 def _identity(degree: int) -> Perm:
-    return tuple.__new__(Perm, range(degree))
-
+    return Perm(range(degree))

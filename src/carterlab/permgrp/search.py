@@ -51,7 +51,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ..errors import CapExceeded
-from .perm import Perm
+from .perm import PERM_TYPES, Perm
 from .group import PermGroup, orbit, walk
 
 
@@ -114,7 +114,8 @@ def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
     """C_G(x); x need not lie in G (it must share G's degree)."""
     if len(x) != G.degree:
         raise ValueError("degree mismatch")
-    return _stabilizer(G, x, Perm.conjugate)
+    x = x if isinstance(x, PERM_TYPES) else Perm(x)
+    return _stabilizer(G, x, type(x).conjugate)
 
 
 def subgroup_centralizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -188,7 +189,7 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
         raise ValueError("elements must lie in G")
     if x.cycle_type() != y.cycle_type():
         return None
-    return _orbit_search(G, x, Perm.conjugate, y)
+    return _orbit_search(G, x, type(x).conjugate, y)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
@@ -259,7 +260,7 @@ def _classes(G: PermGroup, keep=None) -> list:
     for y in G.elements():
         if key(y) in listed or (keep is not None and not keep(y)):
             continue
-        members = orbit([y], G.walk_generators, Perm.conjugate)
+        members = orbit([y], G.walk_generators, type(y).conjugate)
         listed.update(map(key, members))
         classes.append((len(members), min(members)))
     return sorted(classes)
@@ -279,4 +280,4 @@ def element_centralizer_with_known_index(G: PermGroup, x: Perm,
     """
     if class_size < 1 or G.order() % class_size:
         raise ValueError(f"class size {class_size} does not divide |G| = {G.order()}")
-    return _stabilizer(G, x, Perm.conjugate, order=G.order() // class_size)
+    return _stabilizer(G, x, type(x).conjugate, order=G.order() // class_size)

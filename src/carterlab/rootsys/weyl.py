@@ -178,7 +178,7 @@ def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
     # (y t^-1)^w = (w^-1 y w^tau) t^-1 with w^tau = t^-1 w t; the coset comes
     # in the words' order, so each class's rep is its least (length, word)
     coset = (y * t_inv for y in words)
-    for found in orbits(coset, W.perm_group.walk_generators, Perm.conjugate):
+    for found in orbits(coset, W.perm_group.walk_generators, type(t).conjugate):
         rep = found[0] * t
         classes.append(TorusClass(
             rep=rep,

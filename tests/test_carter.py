@@ -103,7 +103,7 @@ def _is_solvable(H):
 def _times_cyclic(G, m):
     """G x C_m, with C_m cycling m extra points."""
     n = G.degree
-    gens = [Perm(g + tuple(range(n, n + m))) for g in G.generators]
+    gens = [Perm(tuple(g) + tuple(range(n, n + m))) for g in G.generators]
     gens.append(Perm(tuple(range(n)) + tuple(n + (i + 1) % m for i in range(m))))
     return PermGroup(gens, n + m)
 

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import carterlab
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import quotient_group
@@ -60,7 +66,7 @@ def test_conjugate_is_right_conjugation():
     assert x.conjugate(g).cycle_type() == x.cycle_type()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 28, 72, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 28, 72, 200, 257, 300])
 def test_kernel_matches_index_formulas(n):
     rng = random.Random(n)
     e = Perm.identity(n)
@@ -68,12 +74,12 @@ def test_kernel_matches_index_formulas(n):
     for _ in range(20):
         a, b, x, g = (Perm(rng.sample(range(n), n)) for _ in range(4))
         ab, xg = a * b, x.conjugate(g)
-        assert type(ab) is Perm and type(xg) is Perm
+        assert type(ab) is type(a) and type(xg) is type(a)
         assert all(ab[i] == b[a[i]] for i in range(n))
         assert all(xg[g[i]] == g[x[i]] for i in range(n))
         assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
         assert a * e == a == e * a
-        assert a.is_identity() == (a == tuple(range(n)))
+        assert a.is_identity() == (tuple(a) == tuple(range(n)))
         acc = e
         for k in range(7):
             assert a ** k == acc and a ** -k == acc.inverse()
@@ -90,10 +96,11 @@ def test_products_of_degree_below_two():
     # G/G acts on its one coset: a group of degree 1
     G = PermGroup.symmetric(4)
     Q, proj = quotient_group(G, G)
-    assert Q.degree == 1 and Q.order() == 1 and list(Q.elements()) == [(0,)]
+    assert Q.degree == 1 and Q.order() == 1
+    assert [tuple(q) for q in Q.elements()] == [(0,)]
     images = [proj.element(g) for g in G.generators]
-    assert all(x == (0,) for x in images)
-    assert images[0] * images[1] == (0,)
+    assert all(tuple(x) == (0,) for x in images)
+    assert tuple(images[0] * images[1]) == (0,)
     assert proj.subgroup(G).order() == 1
 
 
@@ -109,3 +116,51 @@ def test_order_and_cycle_type_match_cycles():
     assert Perm.identity(0).order() == Perm.identity(1).order() == 1
     assert Perm.identity(1).cycle_type() == ()
 
+
+# Prints the Carter representatives of the groups named on the command
+# line, as generator strings and bases, and the twisted classes of W(D4)
+# under the flip and the classes of W(F4), after setting NARROW_DEGREE
+# from the first argument: before any permutation is built, because
+# ``_identity`` and the Weyl cache keep the ones built before.
+CARTER_REPS_SCRIPT = """
+import json, sys
+from carterlab.permgrp import perm
+perm.NARROW_DEGREE = int(sys.argv[1])
+assert perm._identity.cache_info().currsize == 0
+from carterlab.linear.groupspec import realize
+from carterlab.permgrp.carter import carter_subgroups
+from carterlab.permgrp.search import conjugacy_classes
+from carterlab.rootsys import f_conjugacy_classes, flip_twist, root_system, weyl_group
+kinds, reps = set(), {}
+for spec in sys.argv[2:]:
+    G = realize(spec).group
+    kinds |= {type(g).__name__ for g in G.generators}
+    reps[spec] = [([str(g) for g in K.generators], list(K.base))
+                  for K in carter_subgroups(G).representatives]
+D4 = root_system("D", 4)
+reps["W(D4) flip"] = [(str(c.rep), c.rep_word, c.size)
+                      for c in f_conjugacy_classes(weyl_group(D4), flip_twist(D4))]
+reps["W(F4)"] = [(str(rep), size) for rep, size in
+                 conjugacy_classes(realize("W(F4)").group)]
+print(json.dumps([sorted(kinds), reps]))
+"""
+
+
+def test_wide_kernel_finds_the_same_carter_representatives():
+    """With NARROW_DEGREE = 1 every permutation of degree 2 or more is a
+    tuple-backed _WidePerm; the searches must not notice."""
+    src = pathlib.Path(carterlab.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    specs = ["Sym(6)", "GL(2,3)", "Ext(PSL(2,8), frob)"]
+
+    def run(narrow_degree):
+        done = subprocess.run(
+            [sys.executable, "-c", CARTER_REPS_SCRIPT, str(narrow_degree), *specs],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        return json.loads(done.stdout)
+
+    (wide_kinds, wide), (narrow_kinds, narrow) = run(1), run(256)
+    assert (wide_kinds, narrow_kinds) == (["_WidePerm"], ["Perm"])
+    assert wide == narrow
+    assert [len(narrow[spec]) for spec in specs] == [1, 1, 1]
+    assert (len(narrow["W(D4) flip"]), len(narrow["W(F4)"])) == (9, 25)

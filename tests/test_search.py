@@ -199,6 +199,7 @@ def test_first_layer_is_the_prime_order_classes(corpus):
 def test_centralizer_corpus_examples():
     assert element_centralizer(S(4), cyc(4, (0, 1), (2, 3))).order() == 8
     assert element_centralizer(S(5), cyc(5, (0, 1, 2))).order() == 6
+    assert element_centralizer(S(4), (1, 0, 3, 2)).order() == 8    # image tuple
     G = S(4)
     assert element_centralizer(G, Perm.identity(4)).same_group_as(G)
 
