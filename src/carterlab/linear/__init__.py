@@ -17,9 +17,7 @@ from .projective import (
     extend_by_autos,
     frobenius_perm,
     graph_auto_perm,
-    linear_rep,
     projective_points,
-    projective_rep,
 )
 from .groupspec import RealizedGroup, realize, realize_group
 
@@ -28,6 +26,6 @@ __all__ = [
     "classical_group", "form_matrix", "lie_order", "long_root_element",
     "matrix_group_order", "preserves_form", "scalar_count",
     "ProjectiveAction", "extend_by_autos", "frobenius_perm",
-    "graph_auto_perm", "linear_rep", "projective_points", "projective_rep",
+    "graph_auto_perm", "projective_points",
     "RealizedGroup", "realize", "realize_group",
 ]

@@ -26,7 +26,7 @@ from ..rootsys.roots import parse_type, root_system
 from ..rootsys.weyl import weyl_group
 from .classical import ClassicalGroupSpec
 from .projective import (ProjectiveAction, extend_by_autos, frobenius_perm,
-                         graph_auto_perm, linear_rep, projective_rep)
+                         graph_auto_perm)
 
 
 @dataclass
@@ -89,8 +89,8 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
         family = name[1:] if projective else name
         try:
             cspec = ClassicalGroupSpec(family, n, q)
-            action = (projective_rep(cspec, include_hyperplanes=need_hyperplanes)
-                      if projective else linear_rep(cspec))
+            action = (ProjectiveAction(cspec, include_hyperplanes=need_hyperplanes)
+                      if projective else ProjectiveAction(cspec, linear=True))
         except ValueError as exc:
             raise InputError(f"{name}({n},{q}): {exc}") from exc
         return RealizedGroup(f"{name}({n},{q})", action.group(), action=action)

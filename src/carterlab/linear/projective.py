@@ -109,15 +109,6 @@ class ProjectiveAction:
         return PermGroup(gens, self.degree)
 
 
-def projective_rep(spec: ClassicalGroupSpec,
-                   include_hyperplanes: bool = False) -> ProjectiveAction:
-    return ProjectiveAction(spec, include_hyperplanes=include_hyperplanes)
-
-
-def linear_rep(spec: ClassicalGroupSpec) -> ProjectiveAction:
-    return ProjectiveAction(spec, linear=True)
-
-
 def frobenius_perm(action: ProjectiveAction) -> Perm:
     """The permutation of the domain induced by entrywise p-th powers."""
     F = action.spec.field

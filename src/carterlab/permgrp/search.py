@@ -38,12 +38,12 @@ representatives are least members, taken with ``min``.  Walks that need
 no transversal (orbit partitions, classes) use ``group.orbits`` and
 ``group.orbit``.
 
-One class lister, ``_classes``, serves ``conjugacy_classes``, the
-Carter search's first layer and its extension candidates.  It walks
-``G.elements()`` in order and remembers each member of a listed class
-only by its base images: an element of G is fixed by its images of a
-base, so a few ints stand for a whole permutation and the group is
-never held.
+One class lister, ``class_orbits``, serves ``conjugacy_classes``, the
+Carter search's first layer and its extension candidates (through
+``_classes``), and the twisted classes of a Weyl group, the classes of W
+on its coset W·τ⁻¹.  It remembers each member of a listed class only by
+its base images, which determine an element within a coset, so a few
+ints stand for a whole permutation and the group is never held.
 """
 
 from __future__ import annotations
@@ -241,29 +241,32 @@ def conjugacy_classes(G: PermGroup):
 
 def _classes(G: PermGroup, keep=None) -> list:
     """Sorted (size, least member) of the G-classes whose members pass
-    ``keep`` (all classes when it is None); ``keep`` must be a class
-    function, and the other classes are never walked.
-
-    Walks ``G.elements()`` in order and skips each member of a class
-    already listed before calling ``keep``, so ``keep`` runs once per
-    listed class (and on every member of a class it rejects).  A listed
-    member is remembered by its base images alone, which determine it
-    within G.
-    """
+    ``keep`` (all classes when it is None); see ``class_orbits``."""
     if G.order() > CLASS_ENUMERATION_CAP:
         raise CapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
+    return sorted((len(f), min(f)) for f in class_orbits(G, G.elements(), keep))
+
+
+def class_orbits(G: PermGroup, elements, keep=None):
+    """Yield the G-conjugation orbit of each of ``elements`` not yet listed.
+
+    ``elements`` is read once, in order, and lies in one coset Gc that
+    conjugation by G keeps.  An element already listed is skipped before
+    ``keep``, a class function, is called; the orbits it rejects are never
+    walked.  A listed member is remembered by its base images alone: y·c
+    has c[y[b]] at a base point b, so within Gc they determine it.
+    """
     # with one point itemgetter returns a bare int, a key as good as a
-    # tuple; with none it raises, but then G is trivial: one element
+    # tuple; with none it raises, but then G is trivial: Gc has one element
     key = itemgetter(*G.base) if G.base else len
-    listed, classes = set(), []
-    for y in G.elements():
+    listed = set()
+    for y in elements:
         if key(y) in listed or (keep is not None and not keep(y)):
             continue
         members = orbit([y], G.walk_generators, type(y).conjugate)
         listed.update(map(key, members))
-        classes.append((len(members), min(members)))
-    return sorted(classes)
+        yield members
 
 
 def element_centralizer_with_known_index(G: PermGroup, x: Perm,

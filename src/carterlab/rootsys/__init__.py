@@ -14,7 +14,6 @@ from .weyl import (
     TorusClass,
     Twist,
     WeylGroupRep,
-    element_words,
     f_conjugacy_classes,
     flip_twist,
     identity_twist,
@@ -31,7 +30,7 @@ __all__ = [
     "RootSystem", "SUPPORTED", "highest_root",
     "is_closed_abelian", "omega_fixed_roots", "pairing",
     "root_system", "F_CLASS_CAP", "TorusClass", "Twist", "WeylGroupRep",
-    "element_words", "f_conjugacy_classes", "flip_twist", "identity_twist",
+    "f_conjugacy_classes", "flip_twist", "identity_twist",
     "order_polynomial", "torus_order", "triality_twist", "twist_by_name",
     "weyl_group", "Subsystem", "borel_de_siebenthal", "classify_component",
     "subsystem_label", "ClassScanResult", "e6_centralizer_scan",

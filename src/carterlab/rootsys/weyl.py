@@ -6,7 +6,8 @@ lattice basis.  Twists are lattice automorphisms given by a Dynkin
 diagram symmetry; twisted conjugacy w2 ~ w^-1 w2 w^tau is computed
 exhaustively over the whole group (capped at |W(E6)| = 51840), so class
 sizes certify completeness by summing to |W|.  The classes are the
-conjugacy classes of the coset W tau^-1, not W tau.
+conjugacy classes of the coset W tau^-1, not W tau, and are listed by
+``permgrp.search.class_orbits``, which never holds the whole group.
 
 A finite torus obtained by twisting with tau*w has order
 |det(q*M - I)| with M the lattice matrix of tau*w; the determinant is
@@ -16,10 +17,12 @@ basis-independent, so the fundamental-root basis is as good as any.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import CapExceeded, InputError
 from ..permgrp.perm import Perm
-from ..permgrp.group import PermGroup, orbits
+from ..permgrp.group import PermGroup
+from ..permgrp.search import class_orbits
 from .roots import RootSystem, pairing
 
 F_CLASS_CAP = 51_840
@@ -149,46 +152,47 @@ class TorusClass:
         return _evaluate(self.order_poly, q)
 
 
-def element_words(W: WeylGroupRep) -> dict:
-    """Shortest (then lexicographically least) words for every element,
-    filled breadth-first, so the dict runs in (length, word) order."""
-    ident = W.perm_group.identity()
-    words = {ident: ()}
-    queue = [ident]
-    for w in queue:             # the list grows while it is walked
-        for i, s in enumerate(W.simple_reflections):
-            nxt = w * s
-            if nxt not in words:
-                words[nxt] = words[w] + (i,)
-                queue.append(nxt)
-    return words
-
-
 def f_conjugacy_classes(W: WeylGroupRep, tau: Twist) -> list[TorusClass]:
-    """Orbits of w2 -> w^-1 w2 w^tau over all of W, with order polynomials."""
+    """Orbits of w2 -> w^-1 w2 w^tau over all of W, with order polynomials,
+    sorted by (size, rep_word).  A class's rep is its member of least
+    length (positive roots sent negative), then of least reduced word."""
     if tau.system is not W.system and tau.system != W.system:
         raise ValueError("twist belongs to a different root system")
     if W.order() > F_CLASS_CAP:
         raise CapExceeded(
             f"|W| = {W.order()} beyond the exhaustive cap {F_CLASS_CAP}")
+    system = W.system
+    negative = frozenset(i for i, r in enumerate(system.roots)
+                         if system.height(r) < 0)
+    positive = [i for i in range(len(system.roots)) if i not in negative]
+    # rank 1 has one positive root: named twice, itemgetter gives a tuple
+    positive_images = itemgetter(*positive, positive[0])
     t = tau.root_perm
     t_inv = t.inverse()
-    words = element_words(W)
     classes = []
-    # (y t^-1)^w = (w^-1 y w^tau) t^-1 with w^tau = t^-1 w t; the coset comes
-    # in the words' order, so each class's rep is its least (length, word)
-    coset = (y * t_inv for y in words)
-    for found in orbits(coset, W.perm_group.walk_generators, type(t).conjugate):
-        rep = found[0] * t
-        classes.append(TorusClass(
-            rep=rep,
-            rep_word=words[rep],
-            size=len(found),
-            order_poly=order_polynomial(W, rep, tau),
-        ))
+    # (y t^-1)^w = (w^-1 y w^tau) t^-1 with w^tau = t^-1 w t; t keeps the
+    # positive roots positive, so y t^-1 and y have one length
+    coset = (y * t_inv for y in W.perm_group.elements())
+    for found in class_orbits(W.perm_group, coset):
+        lengths = [len(negative.intersection(positive_images(c))) for c in found]
+        least = min(lengths)
+        shortest = [c * t for c, n in zip(found, lengths) if n == least]
+        rep_word, rep = min((_least_word(W, y, negative), y) for y in shortest)
+        classes.append(TorusClass(rep, rep_word, len(found),
+                                  order_polynomial(W, rep, tau)))
     classes.sort(key=lambda c: (c.size, c.rep_word))
     assert sum(c.size for c in classes) == W.order()
     return classes
+
+
+def _least_word(W: WeylGroupRep, y: Perm, negative) -> tuple:
+    """y's lexicographically least reduced word (Humphreys 1.6-1.7): its
+    first letter is the least i with y sending alpha_i negative, and the
+    rest is the word of s_i * y, one shorter."""
+    for i, alpha in enumerate(W.system.simples):
+        if y[W.system.index[alpha]] in negative:
+            return (i,) + _least_word(W, W.simple_reflections[i] * y, negative)
+    return ()
 
 
 def order_polynomial(W: WeylGroupRep, w: Perm, tau: Twist) -> tuple:

@@ -10,8 +10,7 @@ from carterlab.linear.matrix import Matrix
 from carterlab.linear.groupspec import realize
 from carterlab.linear.projective import (ProjectiveAction, extend_by_autos,
                                          frobenius_perm, graph_auto_perm,
-                                         linear_rep, nonzero_vectors,
-                                         projective_points, projective_rep)
+                                         nonzero_vectors, projective_points)
 
 
 def test_points_are_the_sorted_vectors_with_a_leading_one():
@@ -38,18 +37,18 @@ def test_projective_points_are_built_without_the_vectors():
 
 
 def test_psl23_on_four_points():
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 3))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 3))
     assert act.degree == 4
     assert act.group().order() == 12
 
 
 def test_scalar_maps_to_identity():
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 3))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 3))
     assert act.perm_of(Matrix.scalar(act.spec.field, 2, 2)).is_identity()
 
 
 def test_psu32_on_21_points():
-    act = projective_rep(ClassicalGroupSpec("SU", 3, 2))
+    act = ProjectiveAction(ClassicalGroupSpec("SU", 3, 2))
     assert act.degree == 21
     assert act.group().order() == 72
 
@@ -58,13 +57,13 @@ def test_image_order_times_scalars_is_matrix_order():
     for family, n, q in [("SL", 2, 7), ("SL", 3, 2), ("SU", 3, 2), ("Sp", 4, 3)]:
         from carterlab.linear.classical import matrix_group_order, scalar_count
         spec = ClassicalGroupSpec(family, n, q)
-        act = projective_rep(spec)
+        act = ProjectiveAction(spec)
         assert act.group().order() * scalar_count(spec) == matrix_group_order(spec)
 
 
 def test_homomorphism_on_random_words():
     spec = ClassicalGroupSpec("SL", 2, 9)
-    act = projective_rep(spec)
+    act = ProjectiveAction(spec)
     mats = classical_group(spec)
     rng = random.Random(2)
     for _ in range(100):
@@ -73,13 +72,13 @@ def test_homomorphism_on_random_words():
 
 
 def test_linear_action_is_faithful_for_sl23():
-    act = linear_rep(ClassicalGroupSpec("SL", 2, 3))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 3), linear=True)
     assert act.degree == 8
     assert act.group().order() == 24
 
 
 def test_frobenius_fixes_prime_subline():
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 4))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 4))
     fr = frobenius_perm(act)
     assert sum(1 for i, j in enumerate(fr) if i == j) == 3  # P1(GF(2))
     assert fr.order() == 2
@@ -93,7 +92,7 @@ def entrywise_power(M):
 
 def test_frobenius_conjugation_is_entrywise_power():
     spec = ClassicalGroupSpec("SL", 2, 8)
-    act = projective_rep(spec)
+    act = ProjectiveAction(spec)
     fr = frobenius_perm(act)
     mats = classical_group(spec)
     rng = random.Random(3)
@@ -104,7 +103,7 @@ def test_frobenius_conjugation_is_entrywise_power():
 
 
 def test_pgammal28_order():
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 8))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 8))
     G = act.group()
     fr = frobenius_perm(act)
     ext = extend_by_autos(G, [fr])
@@ -112,7 +111,7 @@ def test_pgammal28_order():
 
 
 def test_psl2_27_frobenius_extension():
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 27))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 27))
     G = act.group()
     fr = frobenius_perm(act)
     assert G.order() == 9828 and fr.order() == 3
@@ -121,7 +120,7 @@ def test_psl2_27_frobenius_extension():
 
 def test_graph_automorphism_duality():
     spec = ClassicalGroupSpec("SL", 3, 2)
-    act = projective_rep(spec, include_hyperplanes=True)
+    act = ProjectiveAction(spec, include_hyperplanes=True)
     assert act.degree == 14
     tau = graph_auto_perm(act)
     assert (tau * tau).is_identity()
@@ -136,10 +135,10 @@ def test_graph_automorphism_duality():
 
 def test_graph_auto_needs_dual_block_and_rank():
     with pytest.raises(ValueError):
-        graph_auto_perm(projective_rep(ClassicalGroupSpec("SL", 3, 2)))
+        graph_auto_perm(ProjectiveAction(ClassicalGroupSpec("SL", 3, 2)))
     with pytest.raises(ValueError):
-        graph_auto_perm(projective_rep(ClassicalGroupSpec("SL", 2, 3),
-                                       include_hyperplanes=True))
+        graph_auto_perm(ProjectiveAction(ClassicalGroupSpec("SL", 2, 3),
+                                         include_hyperplanes=True))
 
 
 def test_hyperplanes_need_the_projective_domain():
@@ -166,7 +165,7 @@ def test_frobenius_acts_on_both_blocks():
 
 def test_extend_by_autos_validates_normalization():
     from carterlab.permgrp.perm import Perm
-    act = projective_rep(ClassicalGroupSpec("SL", 2, 3))
+    act = ProjectiveAction(ClassicalGroupSpec("SL", 2, 3))
     G = act.group()
     bad = Perm.from_cycles(G.degree, [(0, 1)])
     if any(g.conjugate(bad) not in G for g in G.generators):

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 
+from carterlab.errors import InputError
 from carterlab.linear.classical import lie_order
 from carterlab.linear.groupspec import realize
 from carterlab.permgrp.bruteforce import brute_normalizer
-from carterlab.permgrp.group import PermGroup
+from carterlab.permgrp.group import PermGroup, orbits
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.search import conjugacy_classes
 from carterlab.rootsys.e6scan import (e6_centralizer_scan,
@@ -16,7 +18,8 @@ from carterlab.rootsys import subsystems
 from carterlab.rootsys.subsystems import borel_de_siebenthal
 from carterlab.rootsys.weyl import (f_conjugacy_classes, flip_twist,
                                     identity_twist, order_polynomial,
-                                    torus_order, triality_twist, weyl_group)
+                                    torus_order, triality_twist, twist_by_name,
+                                    weyl_group)
 
 WEYL_ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("C", 2): 8,
                ("C", 3): 48, ("B", 3): 48, ("D", 4): 192, ("G", 2): 12,
@@ -372,3 +375,115 @@ def test_e6_class_listing_memory():
     assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
         "80b4309c34642ac95fc6e7bb3fc36120b770150cef833ffc532613a3b3501a03")
     assert peak < 16_000_000, peak
+
+
+@pytest.mark.parametrize("twist", [identity_twist, flip_twist])
+def test_e6_twisted_class_listing_memory(twist):
+    """A memory gate for the twisted classes behind ``torus E6``: they
+    are listed like every other class listing, by base images, so W(E6)
+    is never held (27.7 MB at peak when a word of every element and the
+    whole coset were kept)."""
+    import tracemalloc
+    system = root_system("E", 6)
+    W, tau = weyl_group(system), twist(system)
+    W.perm_group.walk_generators    # derived once per group, before the gate
+    tracemalloc.start()
+    try:
+        classes = f_conjugacy_classes(W, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 25
+    assert peak < 16_000_000, peak
+
+
+@pytest.mark.parametrize("twist", [identity_twist, flip_twist])
+def test_e6_twisted_class_conjugation_count(monkeypatch, twist):
+    """A perf gate that does not depend on the machine: each coset
+    element is walked once, through W(E6)'s two walk generators, so the
+    listing makes exactly 2 |W| conjugations."""
+    system = root_system("E", 6)
+    W, tau = weyl_group(system), twist(system)
+    assert len(W.perm_group.walk_generators) == 2
+    calls = [0]
+    conjugate = Perm.conjugate
+
+    def counting(self, g):
+        calls[0] += 1
+        return conjugate(self, g)
+
+    monkeypatch.setattr(Perm, "conjugate", counting)
+    f_conjugacy_classes(W, tau)
+    assert calls[0] == 2 * 51_840
+
+
+def words_breadth_first(W):
+    """Shortest, then lexicographically least, words for every element,
+    filled breadth-first, so the dict runs in (length, word) order."""
+    ident = W.perm_group.identity()
+    words = {ident: ()}
+    queue = [ident]
+    for w in queue:             # the list grows while it is walked
+        for i, s in enumerate(W.simple_reflections):
+            nxt = w * s
+            if nxt not in words:
+                words[nxt] = words[w] + (i,)
+                queue.append(nxt)
+    return words
+
+
+def twisted_classes_by_words(W, tau):
+    """(rep, rep_word, size) of every twisted class, sorted by (size,
+    rep_word): the coset is walked in the words' order, so each class's
+    first member is its least (length, word)."""
+    words = words_breadth_first(W)
+    t = tau.root_perm
+    t_inv = t.inverse()
+    coset = (y * t_inv for y in words)
+    classes = []
+    for found in orbits(coset, W.perm_group.generators, type(t).conjugate):
+        rep = found[0] * t
+        classes.append((rep, words[rep], len(found)))
+    return sorted(classes, key=lambda c: (c[2], c[1]))
+
+
+def weyl_order(t, n):
+    f = math.factorial(n)
+    return {"A": (n + 1) * f, "B": 2 ** n * f, "C": 2 ** n * f,
+            "D": 2 ** (n - 1) * f, "E": {6: 51_840, 7: 2_903_040,
+                                         8: 696_729_600}.get(n),
+            "F": 1152, "G": 12}[t]
+
+
+def supported_twists(t, n):
+    names = []
+    for name in ("id", "flip", "triality"):
+        try:
+            twist_by_name(root_system(t, n), name)
+        except InputError:
+            continue
+        names.append(name)
+    return names
+
+
+SMALL_TWISTED = [(t, n, name) for t, ranks in sorted(SUPPORTED.items())
+                 for n in ranks if weyl_order(t, n) <= 2000
+                 for name in supported_twists(t, n)]
+
+
+@pytest.mark.parametrize("t,n,name", SMALL_TWISTED)
+def test_twisted_classes_match_breadth_first_words(t, n, name):
+    """Every class's rep and rep_word against a breadth-first word of
+    every element, on each system with |W| <= 2,000 under each twist."""
+    system = root_system(t, n)
+    W = weyl_group(system)
+    assert W.order() == weyl_order(t, n)
+    tau = twist_by_name(system, name)
+    classes = f_conjugacy_classes(W, tau)
+    assert [(c.rep, c.rep_word, c.size) for c in classes] == \
+        twisted_classes_by_words(W, tau)
+    for c in classes:
+        w = W.perm_group.identity()
+        for i in c.rep_word:
+            w = w * W.simple_reflections[i]
+        assert w == c.rep
