@@ -30,7 +30,7 @@ from ..errors import CapExceeded
 from .group import PermGroup
 from .search import (_classes, are_conjugate_subgroups, subgroup_centralizer,
                      subgroup_normalizer)
-from .sylow import is_nilpotent, is_prime, p_part, prime_factors, sylow_subgroup
+from .sylow import is_nilpotent, p_part, prime_factors, sylow_subgroup
 
 FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
@@ -95,6 +95,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
         bucket.append(H)
         return True
 
+    primes = set(prime_factors(G.order()))     # every element order divides |G|
     trivial = PermGroup.trivial(G.degree)
     is_new(trivial)
     queue = deque([trivial])
@@ -107,7 +108,7 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: prime-order class representatives of G itself
-            reps = [rep for _, rep in _classes(G, lambda y: is_prime(y.order()))]
+            reps = [rep for _, rep in _classes(G, lambda y: y.order() in primes)]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise CapExceeded(

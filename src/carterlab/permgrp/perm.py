@@ -13,7 +13,10 @@ translation table that maps i to ``b[i]`` for i < n:
 - product: ``a.translate(b + _ID[n:])`` has ``b[a[i]]`` at i;
 - inverse: ``bytes.maketrans(a, _ID[:n])`` has i at ``a[i]``;
 - conjugate: ``bytes.maketrans(g, x.translate(g + _ID[n:]))`` has
-  ``g[x[i]]`` at ``g[i]``, which is where ``g⁻¹xg`` has it.
+  ``g[x[i]]`` at ``g[i]``, which is where ``g⁻¹xg`` has it;
+- order: ``y.translate(x + _ID[n:])`` steps y = x^k to x^(k+1), from
+  x until y is the identity; an order above n, which takes more than n
+  steps, is the lcm of the cycle lengths instead.
 
 ``maketrans`` returns a whole 256-byte table; its first n bytes are the
 permutation.  Bytes compare lexicographically, as tuples of ints below
@@ -161,6 +164,15 @@ class Perm(_PermMethods, bytes):
         """Return g⁻¹ * self * g."""
         n = len(self)
         return bytes.__new__(Perm, bytes.maketrans(g, self.translate(g + _ID[n:]))[:n])
+
+    def order(self) -> int:
+        n = len(self)
+        one, table, y = _ID[:n], self + _ID[n:], self
+        for k in range(1, n + 1):
+            if y == one:
+                return k
+            y = y.translate(table)
+        return math.lcm(*self._cycle_lengths())
 
 
 class _WidePerm(_PermMethods, tuple):

@@ -40,7 +40,8 @@ def scan_order3_self_normalizers(C: PermGroup) -> tuple[int, list[Perm]]:
         return min(y, y * y)
 
     def order3_subgroups():
-        # cubing beats y.order(), which walks every cycle of y
+        # cubing takes two products and yields y*y, the other generator of
+        # <y>; y.order() steps through the powers of y up to its order
         one = C.identity()
         for y in C.elements():
             sq = y * y

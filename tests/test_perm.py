@@ -5,10 +5,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import carterlab
+from carterlab.linear.groupspec import realize
+from carterlab.permgrp import perm
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import quotient_group
@@ -115,6 +118,77 @@ def test_order_and_cycle_type_match_cycles():
             assert (x ** x.order()).is_identity(), x
     assert Perm.identity(0).order() == Perm.identity(1).order() == 1
     assert Perm.identity(1).cycle_type() == ()
+
+
+def _cycle_lcm(x) -> int:
+    return math.lcm(*(len(c) for c in x.cycles()))
+
+
+@pytest.fixture
+def counted_cycle_walks(monkeypatch):
+    """Counts ``_cycle_lengths`` calls; ``Perm.__mul__`` raises, since
+    ``order()`` must leave the traced product counts as they are."""
+    calls = []
+    walk = perm._PermMethods._cycle_lengths
+
+    def counting(self):
+        calls.append(len(self))
+        return walk(self)
+
+    def no_product(self, other):
+        raise AssertionError("order() multiplied through Perm.__mul__")
+
+    monkeypatch.setattr(perm._PermMethods, "_cycle_lengths", counting)
+    monkeypatch.setattr(Perm, "__mul__", no_product)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Sym(5)", "Ext(PSL(2,8), frob)"])
+def test_order_of_every_element_is_the_cycle_lcm(spec):
+    G = realize(spec).group
+    elements = list(G.elements())
+    assert len(elements) == G.order()
+    for x in elements:
+        assert x.order() == _cycle_lcm(x), (spec, x)
+
+
+def test_small_orders_take_powers_without_products(counted_cycle_walks):
+    for n in (0, 1, 2):
+        assert Perm.identity(n).order() == 1
+    assert Perm.from_cycles(2, [(0, 1)]).order() == 2
+    assert Perm.identity(256).order() == 1
+    assert Perm.from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)]).order() == 8
+    assert Perm.from_cycles(12, [(0, 1, 2), (3, 4), (5, 6, 7, 8)]).order() == 12
+    assert counted_cycle_walks == [0]       # degree 0 walks no power
+
+
+def test_orders_above_the_degree_fall_back_to_cycle_lengths(counted_cycle_walks):
+    x = Perm.from_cycles(8, [(0, 1, 2), (3, 4, 5, 6, 7)])
+    assert x.order() == 15 == _cycle_lcm(x)
+    assert counted_cycle_walks == [8]
+    # prime cycles 2, 3, 5, ..., 41 fill 238 of 256 points
+    primes = [p for p in range(2, 42) if all(p % d for d in range(2, p))]
+    cycles, start = [], 0
+    for p in primes:
+        cycles.append(range(start, start + p))
+        start += p
+    y = Perm.from_cycles(256, cycles)
+    assert type(y) is Perm and start == 238
+    began = time.perf_counter()
+    for _ in range(100):
+        assert y.order() == math.prod(primes) == _cycle_lcm(y)
+    assert time.perf_counter() - began < 1.0
+    assert counted_cycle_walks == [8] + [256] * 100
+
+
+@pytest.mark.parametrize("n", [257, 300])
+def test_wide_orders_walk_the_cycles(n, counted_cycle_walks):
+    rng = random.Random(n)
+    for _ in range(20):
+        x = Perm(rng.sample(range(n), n))
+        assert type(x) is not Perm and x.order() == _cycle_lcm(x)
+    assert Perm.identity(n).order() == 1
+    assert counted_cycle_walks == [n] * 21
 
 
 # Prints the Carter representatives of the groups named on the command

@@ -180,6 +180,52 @@ def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
     assert min(verdicts.values()) >= 300, verdicts
 
 
+def _scatter_move(lab, g):
+    """The tuple-building partition move: scatter the labels, then name
+    each cell by its first point in a scan of the points."""
+    moved = [0] * len(lab)
+    for p, c in zip(g, lab):
+        moved[p] = c
+    least = {}
+    return tuple(map(least.setdefault, moved, range(len(moved))))
+
+
+def _random_partition(rng, n):
+    """A label vector with entry p the least point of p's cell."""
+    cells = rng.randrange(1, n + 1)
+    return _scatter_move([rng.randrange(cells) for _ in range(n)], range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 28, 72, 256])
+def test_bytes_partition_move_matches_the_scatter_move(n):
+    """Degree 256 uses every byte of the reversed-positions table."""
+    rng = random.Random(n)
+    for _ in range(200):
+        lab, g = _random_partition(rng, n), _random_perm(rng, n)
+        moved = search._move_partition(bytes(lab), g)
+        assert type(moved) is bytes and tuple(moved) == _scatter_move(lab, g)
+        assert search._move_partition(lab, g) == _scatter_move(lab, g)
+    singletons, one_cell = tuple(range(n)), (0,) * n
+    g = _random_perm(rng, n)
+    assert tuple(search._move_partition(bytes(singletons), g)) == singletons
+    assert tuple(search._move_partition(bytes(one_cell), g)) == one_cell
+
+
+@pytest.mark.parametrize("n", [1, 2, 28, 256, 257, 300])
+def test_orbit_partition_is_bytes_exactly_for_narrow_groups(n):
+    groups = [(PermGroup.trivial(n), tuple(range(n)))]
+    if n >= 2:      # <(n-2 n-1)>: the last two points share a cell
+        swap = Perm.from_cycles(n, [(n - 2, n - 1)])
+        groups.append((PermGroup([swap], n), tuple(range(n - 1)) + (n - 2,)))
+    for H, expected in groups:
+        lab = search._orbit_partition(H)
+        assert (type(lab) is bytes) == isinstance(H.identity(), Perm)
+        assert (type(lab) is bytes) == (n <= 256)
+        assert tuple(lab) == expected
+        g = _random_perm(random.Random(n), n)
+        assert tuple(search._move_partition(lab, g)) == _scatter_move(lab, g)
+
+
 def test_first_layer_is_the_prime_order_classes(corpus):
     """The class lister keeping only prime-order elements, as the Carter
     search's first layer asks it to, gives the prime-order classes of
