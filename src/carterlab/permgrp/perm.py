@@ -25,6 +25,13 @@ permutations in either form.  A bytes object caches its hash, but the
 hash is salted per process, so no output may depend on the iteration
 order of a set of permutations.
 
+A partition of the points is a label vector, entry p the least point of
+p's cell, kept in its permutations' layout: ``_label_vector`` builds one
+and ``g._move_labels(lab)`` moves it by g.  For a ``Perm``,
+``bytes.maketrans(g, lab)`` puts ``lab[p]`` at ``g[p]``, and a
+``translate`` through a second ``maketrans``, over those labels
+reversed, names each cell by its least point.
+
 A byte holds no image above 255.  A permutation of larger degree is a
 ``_WidePerm``: a tuple of images with the same methods and a kernel of
 Python loops and ``operator.itemgetter`` gathers.  ``Perm(images)``
@@ -44,6 +51,7 @@ from operator import itemgetter
 
 NARROW_DEGREE = 256
 _ID = bytes(range(256))
+_DOWN = _ID[::-1]       # its last n bytes are n-1, ..., 0
 
 
 class _PermMethods:
@@ -174,6 +182,19 @@ class Perm(_PermMethods, bytes):
             y = y.translate(table)
         return math.lcm(*self._cycle_lengths())
 
+    @staticmethod
+    def _label_vector(labels) -> bytes:
+        return bytes(labels)
+
+    def _move_labels(self, lab: bytes) -> bytes:
+        """The label vector ``lab`` moved by self, cells named by their
+        least points.  ``maketrans`` writes left to right, so over the
+        moved labels reversed the last write for a label is its first
+        position."""
+        n = len(self)
+        moved = bytes.maketrans(self, lab)[:n]
+        return moved.translate(bytes.maketrans(moved[::-1], _DOWN[256 - n:]))
+
 
 class _WidePerm(_PermMethods, tuple):
     """A permutation of degree above ``NARROW_DEGREE``, as a tuple of images."""
@@ -195,6 +216,19 @@ class _WidePerm(_PermMethods, tuple):
         for gi, xi in zip(g, self):
             out[gi] = g[xi]
         return tuple.__new__(_WidePerm, out)
+
+    @staticmethod
+    def _label_vector(labels) -> tuple:
+        return tuple(labels)
+
+    def _move_labels(self, lab: tuple) -> tuple:
+        """The label vector ``lab`` moved by self, cells named by their
+        least points, the first met in a scan of the points."""
+        moved = [0] * len(lab)
+        for p, c in zip(self, lab):
+            moved[p] = c
+        least = {}
+        return tuple(map(least.setdefault, moved, range(len(moved))))
 
 
 PERM_TYPES = (Perm, _WidePerm)

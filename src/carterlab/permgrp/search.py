@@ -26,11 +26,9 @@ For conjugacy, a partition walk first maps H1's orbits onto H2's; any
 conjugator then differs from that map by an element of H2's partition
 stabilizer.  A partition is a label vector: entry p is the least point
 of p's cell.  Equal partitions give equal vectors, so a walk keys its
-transversal by them directly.  For a group of ``Perm``s the vector is
-``bytes``, and moving it is three C calls: a ``maketrans`` that
-scatters the labels, one that names each cell by its least point, and a
-``translate`` that relabels.  A group of wide permutations keeps a tuple,
-moved by a Python scatter and one relabelling pass in C.
+transversal by them directly.  A vector has its group's permutation
+layout, and the permutation class moves it (``_move_labels``): three C
+calls for a narrow ``Perm``, a Python scatter for a wide one.
 
 Orbits are walked breadth-first through the group's ``walk_generators``,
 a short generating set derived once per group, in a fixed order, so
@@ -145,36 +143,23 @@ def _conj_fingerprint(fp: frozenset, g: Perm) -> frozenset:
 
 
 def _orbit_partition(H: PermGroup):
-    """H's orbits on the domain, fixed points included, as a label vector:
-    entry p is the least point of p's orbit.  The vector is ``bytes`` when
-    H's permutations are ``Perm``s, else a tuple."""
+    """H's orbits on the domain, fixed points included, as a label vector
+    in the layout of H's permutations: entry p is the least point of p's
+    orbit."""
     lab = [0] * H.degree
     for o in H.natural_orbits():
         for p in o:
             lab[p] = o[0]
-    return bytes(lab) if isinstance(H.identity(), Perm) else tuple(lab)
-
-
-_POSITIONS_DOWN = bytes(range(255, -1, -1))    # its last n bytes are n-1, ..., 0
+    return H.identity()._label_vector(lab)
 
 
 def _move_partition(lab, g):
     """The label vector of the partition ``lab`` moved by g.
 
     Cells are relabelled by their least points, so equal partitions give
-    equal vectors.  On ``bytes``, ``maketrans(g, lab)`` puts ``lab[p]`` at
-    ``g[p]``; ``maketrans`` writes left to right, so over the moved
-    labels reversed the last write for a label is its first position.
+    equal vectors.
     """
-    if isinstance(lab, bytes):
-        n = len(lab)
-        moved = bytes.maketrans(g, lab)[:n]
-        return moved.translate(bytes.maketrans(moved[::-1], _POSITIONS_DOWN[256 - n:]))
-    moved = [0] * len(lab)
-    for p, c in zip(g, lab):
-        moved[p] = c
-    least = {}
-    return tuple(map(least.setdefault, moved, range(len(moved))))
+    return g._move_labels(lab)
 
 
 def _partition_stabilizer(G: PermGroup, H: PermGroup) -> PermGroup:

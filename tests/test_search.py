@@ -4,6 +4,7 @@ import pytest
 
 from carterlab.errors import CapExceeded
 from carterlab.permgrp import bruteforce as bf
+from carterlab.permgrp import perm
 from carterlab.permgrp import search
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
@@ -197,14 +198,17 @@ def _random_partition(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 28, 72, 256])
-def test_bytes_partition_move_matches_the_scatter_move(n):
-    """Degree 256 uses every byte of the reversed-positions table."""
+def test_partition_move_matches_the_scatter_move(n):
+    """Both permutation layouts move a vector of their own layout as the
+    scatter does.  Degree 256 uses every byte of the reversed-positions
+    table."""
     rng = random.Random(n)
     for _ in range(200):
         lab, g = _random_partition(rng, n), _random_perm(rng, n)
-        moved = search._move_partition(bytes(lab), g)
-        assert type(moved) is bytes and tuple(moved) == _scatter_move(lab, g)
-        assert search._move_partition(lab, g) == _scatter_move(lab, g)
+        for h in (g, tuple.__new__(perm._WidePerm, g)):
+            vector = h._label_vector(lab)
+            moved = search._move_partition(vector, h)
+            assert type(moved) is type(vector) and tuple(moved) == _scatter_move(lab, g)
     singletons, one_cell = tuple(range(n)), (0,) * n
     g = _random_perm(rng, n)
     assert tuple(search._move_partition(bytes(singletons), g)) == singletons
