@@ -12,6 +12,16 @@ Transversals are stored as explicit permutations together with their
 inverses; at desk scale (degree <= a few hundred) this is cheaper than
 Schreier vectors and makes sifting allocation-free.
 
+A build may be told an upper bound on |<gens>| (the private
+``_known_order``).  A partial chain's orbits are orbits of subgroups of
+the true point stabilizers, so the product of their lengths never
+exceeds |<gens>|; once it equals the bound the chain is complete, and
+the build stops there with the base, transversals and level generators
+the full build ends with (Seress, *Permutation Group Algorithms*,
+ch. 4).  A bound below the true order gives a wrong chain: the build
+asserts only that the product never passes the bound, so callers pass
+one only where it is a theorem.
+
 Every orbit walk of the package lives here: ``walk`` grows a
 transversal (a chain level's, or a search's in ``search``), and
 ``orbit`` and ``orbits`` walk without one.  ``orbits`` starts each orbit
@@ -107,7 +117,8 @@ class _Level:
 class PermGroup:
     """Immutable permutation group; nothing in this package starts a thread."""
 
-    def __init__(self, generators, degree: int, base_hint=None):
+    def __init__(self, generators, degree: int, base_hint=None,
+                 _known_order=None):
         gens = []
         for g in generators:
             if len(g) != degree:
@@ -122,7 +133,7 @@ class PermGroup:
         self._base_hint = tuple(base_hint) if base_hint is not None else ()
         self._order = None
         self._walk_generators = None
-        self._schreier_sims()
+        self._schreier_sims(_known_order)
 
     # -- construction ------------------------------------------------
 
@@ -183,21 +194,23 @@ class PermGroup:
             g = g * lv.inverse[p]
         return g
 
-    def _schreier_sims(self):
+    def _schreier_sims(self, known_order=None):
+        """Build the chain; ``known_order``, if given, must be an upper
+        bound on |<gens>|, and the build stops once the levels reach it."""
         for g in self.generators:
             self._insert_generator(g)
         i = len(self._levels) - 1
-        while i >= 0:
+        while i >= 0 and not self._reached(known_order):
             lv = self._levels[i]
             complete = True
             for p in sorted(lv.transversal):
                 u = lv.transversal[p]
                 for s in lv.gens:
                     q = s[p]
-                    schreier = u * s * lv.inverse[q]
-                    if schreier.is_identity():
+                    us = u * s
+                    if us == lv.transversal[q]:     # a trivial Schreier generator
                         continue
-                    residue = self._strip(schreier, i + 1)
+                    residue = self._strip(us * lv.inverse[q], i + 1)
                     if not residue.is_identity():
                         i = self._insert_generator(residue)
                         complete = False
@@ -207,14 +220,30 @@ class PermGroup:
             if complete:
                 i -= 1
 
+    def _reached(self, known_order) -> bool:
+        """Whether the levels' orbit lengths multiply to ``known_order``.
+
+        The levels' orbits are orbits of subgroups of the point
+        stabilizers along the base, so their product never exceeds
+        |<gens>|; reaching an upper bound on it, the chain is complete.
+        """
+        if known_order is None:
+            return False
+        n = self._orbit_product()
+        assert n <= known_order, f"orbit lengths multiply to {n} > {known_order}"
+        return n == known_order
+
     # -- queries -----------------------------------------------------
+
+    def _orbit_product(self) -> int:
+        n = 1
+        for lv in self._levels:
+            n *= len(lv.transversal)
+        return n
 
     def order(self) -> int:
         if self._order is None:
-            n = 1
-            for lv in self._levels:
-                n *= len(lv.transversal)
-            self._order = n
+            self._order = self._orbit_product()
         return self._order
 
     @property
@@ -246,7 +275,7 @@ class PermGroup:
             if g not in H:
                 kept.append(g)
                 if i + 1 < len(gens):       # nothing is sifted after the last
-                    H = PermGroup(kept, self.degree)
+                    H = PermGroup(kept, self.degree, _known_order=self.order())
         if len(kept) <= 2:
             return tuple(kept)
         whole = reduce(mul, kept)
@@ -259,7 +288,7 @@ class PermGroup:
             # smaller; counting them is far cheaper than a chain
             if sum(1 for _ in orbits(range(self.degree), pair, _image)) > n_orbits:
                 continue
-            P = PermGroup(pair, self.degree)
+            P = PermGroup(pair, self.degree, _known_order=self.order())
             if P.order() == self.order():
                 return P.generators
         return tuple(kept)
@@ -315,7 +344,8 @@ class PermGroup:
         return tuple(sorted(len(o) for o in self.natural_orbits()))
 
     def rebase(self, base) -> PermGroup:
-        return PermGroup(self.generators, self.degree, base_hint=base)
+        return PermGroup(self.generators, self.degree, base_hint=base,
+                         _known_order=self.order())
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"

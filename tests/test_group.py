@@ -133,3 +133,62 @@ def test_walk_generators_are_short_and_generate_the_group(corpus):
         assert fresh.walk_generators == walk, spec
         assert PermGroup(realized, G.degree).walk_generators == walk, spec
     assert PermGroup.trivial(5).walk_generators == ()
+
+
+def _chain(G):
+    return (G.base, G.order(),
+            [(lv.beta, list(lv.transversal.items()), list(lv.inverse.items()),
+              list(lv.gens)) for lv in G._levels])
+
+
+def _rebuild_hinted_builds(monkeypatch) -> list:
+    """Rebuild every chain built with ``_known_order`` without it, and
+    require the same chain: base, order, and per level the base point,
+    the transversal and its inverses in order, and the generators.  The
+    hint must bound the true order.  Returns the hints seen."""
+    init = PermGroup.__init__
+    hints = []
+
+    def checking(self, generators, degree, base_hint=None, _known_order=None):
+        generators = list(generators)
+        base_hint = None if base_hint is None else list(base_hint)
+        init(self, generators, degree, base_hint, _known_order)
+        if _known_order is not None:
+            hints.append(_known_order)
+            full = PermGroup.__new__(PermGroup)
+            init(full, generators, degree, base_hint)
+            assert full.order() <= _known_order
+            assert _chain(self) == _chain(full)
+
+    monkeypatch.setattr(PermGroup, "__init__", checking)
+    return hints
+
+
+@pytest.mark.parametrize("spec", ["Sym(6)", "Ext(PSL(2,8), frob)", "W(F4)"])
+def test_known_order_builds_equal_unhinted_builds(monkeypatch, spec):
+    """A chain build that stops once its orbit lengths multiply to a
+    known bound on the order is the build that runs to the end."""
+    from carterlab.linear.groupspec import realize
+    from carterlab.permgrp.carter import carter_subgroups
+    from carterlab.permgrp.search import conjugacy_classes
+    realized = realize(spec).group      # W(F4) may be cached, chain and all
+    hints = _rebuild_hinted_builds(monkeypatch)
+    G = PermGroup(realized.generators, realized.degree)
+    if spec == "W(F4)":
+        assert len(conjugacy_classes(G)) == 25
+        assert G.rebase(reversed(range(G.degree))).order() == 1152
+    else:
+        carter_subgroups(G)
+    assert len(hints) >= 10, hints
+
+
+def test_known_order_below_the_true_order_fails(monkeypatch):
+    S6 = PermGroup.symmetric(6)
+    # 719 is no product of orbit lengths at most 6, so the levels pass it
+    with pytest.raises(AssertionError):
+        PermGroup(S6.generators, 6, _known_order=719)
+    assert PermGroup(S6.generators, 6, _known_order=721).order() == 720
+    _rebuild_hinted_builds(monkeypatch)
+    for bound in (360, 240, 120, 24, 6, 1):
+        with pytest.raises(AssertionError):
+            PermGroup(S6.generators, 6, _known_order=bound)

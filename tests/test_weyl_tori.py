@@ -10,7 +10,8 @@ from carterlab.linear.groupspec import realize
 from carterlab.permgrp.bruteforce import brute_normalizer
 from carterlab.permgrp.group import PermGroup, orbits
 from carterlab.permgrp.perm import Perm
-from carterlab.permgrp.search import conjugacy_classes
+from carterlab.permgrp.search import (conjugacy_classes,
+                                      element_centralizer_with_known_index)
 from carterlab.rootsys.e6scan import (e6_centralizer_scan,
                                       scan_order3_self_normalizers)
 from carterlab.rootsys.roots import SUPPORTED, root_system
@@ -355,6 +356,58 @@ def test_e6_scan_conjugation_count(monkeypatch):
         3, 2, 3, 5, 5, 1, 7, 1, 1, 1, 4, 3, 3, 3, 3, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
     assert all(r.passed for r in results)
     assert calls[0] <= 109_361
+
+
+def test_e6_scan_product_count(monkeypatch):
+    """A perf gate that does not depend on the machine: Perm.__mul__
+    calls.  The scan lists W(E6)'s order-3 subgroups once, from the
+    order-3 class representatives; a centralizer smaller than that list
+    cubes its elements, and a larger one tests which commute with its
+    element; each known-order chain build stops at its order.  Cubing
+    every element of every centralizer made 263,160 products."""
+    W = weyl_group(root_system("E", 6)).perm_group
+    W.walk_generators               # derived once per group, before the gate
+    calls = [0]
+    mul = Perm.__mul__
+
+    def counting(self, g):
+        calls[0] += 1
+        return mul(self, g)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    results = e6_centralizer_scan()
+    assert all(r.passed for r in results)
+    assert calls[0] <= 28_027
+
+
+def test_e6_scan_matches_the_scan_of_every_element():
+    """The seeded scan against the public scan, which cubes every
+    element of each of W(E6)'s 25 centralizers."""
+    W = weyl_group(root_system("E", 6)).perm_group
+    expected = []
+    for rep, size in conjugacy_classes(W):
+        C = element_centralizer_with_known_index(W, rep, size)
+        expected.append(scan_order3_self_normalizers(C))
+    assert [(r.order3_subgroup_classes, r.self_normalizing)
+            for r in e6_centralizer_scan()] == expected
+
+
+def test_e6_class_listing_reads_until_every_class_is_found(monkeypatch):
+    """A perf gate that does not depend on the machine: the class lister
+    stops once the classes it listed cover |W|, at the 1,436th of W(E6)'s
+    51,840 elements."""
+    W = weyl_group(root_system("E", 6)).perm_group
+    read = [0]
+    elements = W.elements
+
+    def counting():
+        for y in elements():
+            read[0] += 1
+            yield y
+
+    monkeypatch.setattr(W, "elements", counting)
+    assert sum(size for _, size in conjugacy_classes(W)) == 51_840
+    assert read[0] <= 1_436
 
 
 def test_e6_class_listing_memory():
