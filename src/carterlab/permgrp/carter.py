@@ -24,7 +24,7 @@ conjugacy search.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CapExceeded
 from .group import PermGroup
@@ -36,12 +36,15 @@ FULL_SEARCH_CAP = 100_000
 _CANDIDATE_ENUM_CAP = 120_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubgroupClassSet:
-    """Conjugacy classes of subgroups of a common parent."""
+    """Conjugacy classes of subgroups of a common parent.
+
+    Immutable, so one result can be handed to several readers.
+    """
 
     parent: PermGroup
-    representatives: list[PermGroup] = field(default_factory=list)
+    representatives: tuple[PermGroup, ...] = ()
 
     @property
     def class_count(self) -> int:
@@ -120,8 +123,8 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
                 continue
             if is_new(K):
                 queue.append(K)
-    return SubgroupClassSet(G, sorted(
-        carter_reps, key=lambda R: (R.order(), _order_multiset(R))))
+    return SubgroupClassSet(G, tuple(sorted(
+        carter_reps, key=lambda R: (R.order(), _order_multiset(R)))))
 
 
 def check_syl2_criterion(G: PermGroup) -> bool:

@@ -8,9 +8,19 @@ expected class count and representative order was found; those marked
 "derived" were computed once with the brute-force oracles in
 ``carterlab.permgrp.bruteforce`` and frozen here, and
 ``regenerate_derived`` recomputes every one that is oracle-sized.
+
+Cases share work within one process: each group spec is realized once,
+and each spec's Carter classes and Sylow-2 criterion are computed once,
+by whichever case first needs them.  So ``check run all`` does each of
+these once however many cases read it, and a later case's ``ms`` leaves
+out the work an earlier case did.  A call that raises is not
+remembered, so a cap overrun or a crash reaches every case that needs
+that result.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..errors import CapExceeded
 from ..linear.classical import ClassicalGroupSpec, classical_group, long_root_element
@@ -35,6 +45,24 @@ from .report import CheckCase, Registry, SkipCase, expect
 REGISTRY = Registry()
 
 
+# The bodies read ``realize``, ``carter_subgroups`` and
+# ``check_syl2_criterion`` from this module's globals when called, so a
+# caller that rebinds those names (a tracer, a test) is still obeyed.
+@functools.cache
+def _realized(spec):
+    return realize(spec)
+
+
+@functools.cache
+def _carter_classes(spec):
+    return carter_subgroups(_realized(spec).group)
+
+
+@functools.cache
+def _criterion(spec):
+    return check_syl2_criterion(_realized(spec).group)
+
+
 def _case(case_id, description, anchor, tier, group_specs, budget_s):
     def wrap(fn):
         REGISTRY.add(CheckCase(case_id, description, anchor, tier,
@@ -53,8 +81,8 @@ def _register_norm2syl():
         expected = q % 8 in (1, 7)
 
         def runner(q=q, expected=expected):
-            G = realize(f"PSL(2,{q})").group
-            got = check_syl2_criterion(G)
+            G = _realized(f"PSL(2,{q})").group
+            got = _criterion(f"PSL(2,{q})")
             expect(got == expected,
                    f"criterion for PSL(2,{q}) gave {got}, expected {expected}")
             return {"order": G.order(), "criterion": got}, \
@@ -66,8 +94,8 @@ def _register_norm2syl():
               "quick", [f"PSL(2,{q})"], 30.0)(runner)
 
     def psp_runner():
-        G = realize("PSp(4,3)").group
-        got = check_syl2_criterion(G)
+        G = _realized("PSp(4,3)").group
+        got = _criterion("PSp(4,3)")
         expect(got is False, f"criterion for PSp(4,3) gave {got}, expected False")
         return {"order": G.order(), "criterion": got}, "PSp(4,3), q = 3"
 
@@ -104,8 +132,8 @@ CARTER_CATALOG = {
 def _register_carter_catalog():
     for case_id, (spec, count, order, _) in CARTER_CATALOG.items():
         def runner(spec=spec, count=count, order=order):
-            G = realize(spec).group
-            classes = carter_subgroups(G)
+            G = _realized(spec).group
+            classes = _carter_classes(spec)
             expect(classes.class_count == count,
                    f"{spec}: found {classes.class_count} Carter classes, "
                    f"expected {count}")
@@ -135,21 +163,22 @@ def _register_suites():
            "quick", ["Sym(4)", "SL(2,3)", "PGammaL(2,8)"], 300.0)
     def quotient_suite():
         pairs = []
-        S4 = realize("Sym(4)").group
+        S4 = _realized("Sym(4)").group
         V4 = PermGroup([p for p in S4.elements()
                         if p.cycle_type() == (2, 2)], 4)
-        pairs.append(("Sym(4)/V4", S4, V4))
-        sl23 = realize("SL(2,3)").group
+        pairs.append(("Sym(4)/V4", "Sym(4)", S4, V4))
+        sl23 = _realized("SL(2,3)").group
         center = PermGroup([g for g in sl23.elements()
                             if all(g * h == h * g for h in sl23.generators)
                             and not g.is_identity()], sl23.degree)
-        pairs.append(("SL(2,3)/Z", sl23, center))
-        gl28 = realize("PGammaL(2,8)")
-        pairs.append(("PGammaL(2,8)/PSL(2,8)", gl28.group, gl28.inner))
+        pairs.append(("SL(2,3)/Z", "SL(2,3)", sl23, center))
+        gl28 = _realized("PGammaL(2,8)")
+        pairs.append(("PGammaL(2,8)/PSL(2,8)", "PGammaL(2,8)", gl28.group,
+                      gl28.inner))
         details = []
-        for label, G, N in pairs:
+        for label, spec, G, N in pairs:
             Q, proj = quotient_group(G, N)
-            reps = carter_subgroups(G).representatives
+            reps = _carter_classes(spec).representatives
             expect(bool(reps), f"{label}: no Carter subgroup found upstairs")
             for K in reps:
                 KQ = proj.subgroup(K)
@@ -165,9 +194,8 @@ def _register_suites():
     def criterion_suite():
         details = []
         for spec, *_ in CARTER_CATALOG.values():
-            G = realize(spec).group
-            criterion = check_syl2_criterion(G)
-            classes = carter_subgroups(G)
+            criterion = _criterion(spec)
+            classes = _carter_classes(spec)
             holder = carter_class_containing_sylow2(classes)
             expect(criterion == (holder is not None),
                    f"{spec}: criterion {criterion} but Sylow-2-bearing class "
@@ -182,14 +210,14 @@ def _register_suites():
     def inh_suite():
         details = []
         for h_spec, g_spec in [("PSL(2,7)", "PGL(2,7)"), ("Alt(6)", "Sym(6)")]:
-            G = realize(g_spec).group
-            H = realize(h_spec).group
+            G = _realized(g_spec).group
+            H = _realized(h_spec).group
             expect(H.is_subgroup_of(G), f"{h_spec} is not inside {g_spec}")
             index = G.order() // H.order()
             expect(index & (index - 1) == 0, f"index {index} is not a 2-power")
-            expect(check_syl2_criterion(H),
+            expect(_criterion(h_spec),
                    f"{h_spec}: hypothesis N_H(T) = T C_H(T) fails")
-            expect(check_syl2_criterion(G),
+            expect(_criterion(g_spec),
                    f"{g_spec}: inherited criterion fails")
             details.append(f"{h_spec} <= {g_spec} (index {index})")
         return {"pairs": 2}, "; ".join(details)
@@ -204,7 +232,7 @@ def _register_element_cases():
            "under the graph extension",
            "quick", ["Ext(PSL(3,2), graph)"], 120.0)
     def graph_inverse():
-        ext = realize("Ext(PSL(3,2), graph)")
+        ext = _realized("Ext(PSL(3,2), graph)")
         G, Gamma = ext.inner, ext.group
         expect(Gamma.order() == 336, f"extension order {Gamma.order()} != 336")
         odd = [g for g in G.elements() if g.order() % 2 == 1]
@@ -220,8 +248,8 @@ def _register_element_cases():
            "but is in PGL2(3)",
            "quick", ["PSL(2,3)", "PGL(2,3)"], 30.0)
     def psl23_power():
-        psl = realize("PSL(2,3)").group
-        pgl = realize("PGL(2,3)").group
+        psl = _realized("PSL(2,3)").group
+        pgl = _realized("PGL(2,3)").group
         x = next(g for g in psl.elements() if g.order() == 3)
         in_psl = are_conjugate_elements(psl, x, x.inverse()) is not None
         in_pgl = are_conjugate_elements(pgl, x, x.inverse()) is not None
@@ -235,7 +263,7 @@ def _register_element_cases():
            "v = x_{2e1}(1) x_{2e2}(1) and v^-1 are conjugate in the group",
            "quick", ["Sp(4,3)"], 300.0)
     def sp43_longroot():
-        rg = realize("Sp(4,3)")
+        rg = _realized("Sp(4,3)")
         G, act = rg.group, rg.action
         v_mat = long_root_element(2, 3, 1, 1) * long_root_element(2, 3, 2, 1)
         v = act.perm_of(v_mat)
@@ -386,9 +414,9 @@ def _register_semilinear_cases():
            "fixed subgroup; order derived as 2 * 3",
            "quick", ["PGammaL(2,8)"], 600.0)
     def pgammal8():
-        G = realize("PGammaL(2,8)").group
+        G = _realized("PGammaL(2,8)").group
         expect(G.order() == 1512, f"order {G.order()} != 1512")
-        classes = carter_subgroups(G)
+        classes = _carter_classes("PGammaL(2,8)")
         expect(classes.class_count == 1,
                f"{classes.class_count} Carter classes, expected 1")
         rep = classes.representatives[0]
@@ -408,7 +436,7 @@ def _register_semilinear_cases():
            "Syl2InCentrOfFieldAut: a Sylow 2-subgroup of G_psi is one of G",
            "quick", ["PSL(2,27)"], 120.0)
     def fieldaut27():
-        rg = realize("PSL(2,27)")
+        rg = _realized("PSL(2,27)")
         G = rg.group
         frob = frobenius_perm(rg.action)
         fixed = element_centralizer(G, frob)
@@ -425,7 +453,7 @@ def _register_semilinear_cases():
            "ConjAutomorphisms: <phi>^g = <phi'> with g in the socle",
            "quick", ["PGammaL(2,8)"], 300.0)
     def conj_autos():
-        rg = realize("PGammaL(2,8)")
+        rg = _realized("PGammaL(2,8)")
         Gamma, G = rg.group, rg.inner
         outer3 = [g for g in Gamma.elements()
                   if g.order() == 3 and g not in G]
@@ -450,7 +478,7 @@ def _register_semilinear_cases():
            "of the zeta-fixed part; order derived as 27 * 3",
            "full", ["Ext(PSL(2,27), frob)"], 1200.0)
     def witness27():
-        rg = realize("Ext(PSL(2,27), frob)")
+        rg = _realized("Ext(PSL(2,27), frob)")
         Gamma, act = rg.group, rg.action
         expect(Gamma.order() == 29484, f"order {Gamma.order()} != 29484")
         spec = ClassicalGroupSpec("SL", 2, 27)
@@ -468,8 +496,8 @@ def _register_semilinear_cases():
            "the main conjugacy statement: Carter subgroups form one class",
            "full", ["Ext(PSL(2,27), frob)"], 7200.0)
     def search27():
-        Gamma = realize("Ext(PSL(2,27), frob)").group
-        classes = carter_subgroups(Gamma)
+        Gamma = _realized("Ext(PSL(2,27), frob)").group
+        classes = _carter_classes("Ext(PSL(2,27), frob)")
         expect(classes.class_count == 1,
                f"{classes.class_count} Carter classes, expected 1")
         rep = classes.representatives[0]
@@ -488,11 +516,11 @@ def _register_semilinear_cases():
 
     for q in (7, 9, 11, 13, 17):
         def runner(q=q):
-            G = realize(f"PSL(2,{q})").group
-            classes = carter_subgroups(G)
+            G = _realized(f"PSL(2,{q})").group
+            classes = _carter_classes(f"PSL(2,{q})")
             expect(classes.class_count <= 1,
                    f"PSL(2,{q}): {classes.class_count} Carter classes")
-            criterion = check_syl2_criterion(G)
+            criterion = _criterion(f"PSL(2,{q})")
             holder = carter_class_containing_sylow2(classes)
             expect(criterion == (holder is not None),
                    f"PSL(2,{q}): criterion/carter mismatch")
@@ -521,7 +549,7 @@ def regenerate_derived() -> dict:
     """
     out = {}
     for case_id, (spec, *_rest) in CARTER_CATALOG.items():
-        G = realize(spec).group
+        G = _realized(spec).group
         try:
             reps = brute_carter_classes(G)
         except CapExceeded:

@@ -178,6 +178,15 @@ def test_nilpotent_group_is_its_own_carter_subgroup():
     assert is_carter_witness(C6, C6)
 
 
+def test_carter_classes_cannot_be_changed_by_a_reader(groups):
+    """One search result is handed to several registry cases."""
+    import dataclasses
+    classes = carter_subgroups(groups["Sym(4)"])
+    assert isinstance(classes.representatives, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        classes.representatives = ()
+
+
 def test_trivial_group_is_carter_in_itself():
     T = PermGroup.trivial(3)
     assert carter_subgroups(T).class_count == 1

@@ -136,3 +136,68 @@ def test_quick_cases_stay_within_five_times_budget(quick_reports):
             continue
         assert r.metrics["ms"] <= 5000 * by_id[r.id].budget_s, \
             (r.id, r.metrics["ms"])
+
+
+# ---------------------------------------------------------------- shared work
+
+def _clear_memos():
+    from carterlab.verify import registry
+    for memo in (registry._realized, registry._carter_classes,
+                 registry._criterion):
+        memo.cache_clear()
+
+
+def _logging(fn, log):
+    def wrapper(G):
+        log.append(G)
+        return fn(G)
+    return wrapper
+
+
+def test_quick_tier_searches_and_checks_each_group_once(monkeypatch):
+    """Gate: the 26 Carter searches of the quick tier cover 12 groups and
+    its 26 criterion checks 23; each is computed once.  The counts are
+    taken through the registry's module names, which is also how the
+    benchmark's tracer counts them."""
+    from carterlab.verify import registry
+    _clear_memos()
+    searched, checked = [], []
+    monkeypatch.setattr(registry, "carter_subgroups",
+                        _logging(registry.carter_subgroups, searched))
+    monkeypatch.setattr(registry, "check_syl2_criterion",
+                        _logging(registry.check_syl2_criterion, checked))
+    reports = REGISTRY.run_all("quick")
+    assert all(r.status in ("pass", "skip") for r in reports)
+    assert len(searched) == len({id(G) for G in searched}) == 12
+    assert len(checked) == len({id(G) for G in checked}) == 23
+
+
+def test_a_failed_search_is_not_remembered(monkeypatch):
+    from carterlab.verify import registry
+    _clear_memos()
+    search = registry.carter_subgroups
+    message = "|G| = 24 exceeds the full-search cap 23"
+
+    def capped(G):
+        if G is registry._realized("Sym(4)").group:
+            raise CapExceeded(message)
+        return search(G)
+
+    monkeypatch.setattr(registry, "carter_subgroups", capped)
+    for case_id in ("carter-sym4", "carter-quotient-suite"):
+        r = REGISTRY.run_case(case_id)
+        assert (r.status, r.reason) == ("skip", message), case_id
+    monkeypatch.undo()
+    for case_id in ("carter-sym4", "carter-quotient-suite"):
+        assert REGISTRY.run_case(case_id).status == "pass", case_id
+
+
+def test_shared_work_never_shows_in_a_report(quick_reports):
+    """Cases run alone on cold memos report what they report inside
+    the whole tier, where earlier cases filled the memos."""
+    _clear_memos()
+    by_id = {r.id: r for r in quick_reports}
+    for case_id in ("criterion-equivalence-suite", "carter-quotient-suite",
+                    "inh-2ext-suite", "pgammal-2-8-carter"):
+        assert _without_ms(REGISTRY.run_case(case_id)) == \
+            _without_ms(by_id[case_id]), case_id
