@@ -56,6 +56,8 @@ class ClassicalGroupSpec:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
+    if q > 2 ** 16:     # no field is larger; checked before q is factored
+        raise ValueError("field size must be between p and 2^16")
     primes = prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from ..errors import InputError
+from ..errors import CapExceeded, InputError
+from ..permgrp import io as permio
 from ..permgrp.group import PermGroup
-from ..permgrp.io import load_group
 from ..rootsys.roots import parse_type, root_system
 from ..rootsys.weyl import weyl_group
 from .classical import ClassicalGroupSpec
@@ -64,7 +64,10 @@ def _split_args(body: str) -> list[str]:
 def _int_arg(text: str, production: str) -> int:
     if not re.fullmatch(r"\d+", text):
         raise InputError(f"expected an integer in {production}, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:      # more digits than int() converts
+        raise InputError(f"integer in {production} has {len(text)} digits") from None
 
 
 def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
@@ -78,6 +81,8 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
 
     if name in ("Sym", "Alt"):
         n = _int_arg(_only(args, name), name)
+        if n > permio.DEGREE_CAP:   # checked before any permutation is built
+            raise CapExceeded(f"degree {n} exceeds {permio.DEGREE_CAP}")
         G = PermGroup.symmetric(n) if name == "Sym" else PermGroup.alternating(n)
         return RealizedGroup(f"{name}({n})", G)
 
@@ -123,7 +128,7 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             fm = re.fullmatch(r"frob(?:\^(\d+))?", mode)
             if not fm:
                 raise InputError(f"unknown Ext automorphism {mode!r}")
-            j = int(fm.group(1) or 1)
+            j = _int_arg(fm.group(1) or "1", "Ext")
             auto = frobenius_perm(inner.action) ** j
         G = extend_by_autos(inner.group, [auto])
         return RealizedGroup(f"Ext({inner.label}, {mode})", G,
@@ -139,7 +144,7 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
 
     if name == "File":
         path = _only(args, "File").strip()
-        return RealizedGroup(f"File({path})", load_group(path))
+        return RealizedGroup(f"File({path})", permio.load_group(path))
 
     raise InputError(f"unknown group constructor {name!r}")
 

@@ -31,7 +31,7 @@ at the first input point not yet seen; callers take ``min`` of an orbit.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul
 
 from .perm import PERM_TYPES, Perm
@@ -254,13 +254,12 @@ class PermGroup:
     def walk_generators(self) -> tuple:
         """A short generating set for orbit walks, derived once per group.
 
-        Prune: a realized generator is kept only if it lies outside the
-        group the kept ones generate.  If more than two are kept,
-        k_1..k_m, try in order the pairs (k_i, the product of the others
-        in order) for i = 1..m, then (k_1...k_m, k_i) for i = 1..m, and
-        take the first pair that generates the whole group; else use the
-        pruned list.  Deterministic, so every walk sees the same set;
-        cached on first use, without a lock.
+        With generators g_1..g_m, m > 2, try in order the pairs (g_i, the
+        product of the others in order) for i = 1..m, then (g_1...g_m,
+        g_i) for i = 1..m, then (g_i, g_j) for i < j, and take the first
+        pair that generates the whole group; else use all m generators.
+        Deterministic, so every walk sees the same set; cached on first
+        use, without a lock.
         """
         if self._walk_generators is None:
             self._walk_generators = self._short_generators()
@@ -268,20 +267,13 @@ class PermGroup:
 
     def _short_generators(self) -> tuple:
         gens = self.generators
-        kept, H = [], PermGroup.trivial(self.degree)
-        for i, g in enumerate(gens):
-            if H.order() == self.order():
-                break
-            if g not in H:
-                kept.append(g)
-                if i + 1 < len(gens):       # nothing is sifted after the last
-                    H = PermGroup(kept, self.degree, _known_order=self.order())
-        if len(kept) <= 2:
-            return tuple(kept)
-        whole = reduce(mul, kept)
-        pairs = chain(((k, reduce(mul, kept[:i] + kept[i + 1:]))
-                       for i, k in enumerate(kept)),
-                      ((whole, k) for k in kept))
+        if len(gens) <= 2:
+            return gens
+        whole = reduce(mul, gens)
+        pairs = chain(((g, reduce(mul, gens[:i] + gens[i + 1:]))
+                       for i, g in enumerate(gens)),
+                      ((whole, g) for g in gens),
+                      combinations(gens, 2))
         n_orbits = len(self.natural_orbits())
         for pair in pairs:
             # <pair> lies in G, so with more orbits on the domain it is
@@ -291,7 +283,7 @@ class PermGroup:
             P = PermGroup(pair, self.degree, _known_order=self.order())
             if P.order() == self.order():
                 return P.generators
-        return tuple(kept)
+        return gens
 
     def __contains__(self, g) -> bool:
         if len(g) != self.degree:

@@ -388,6 +388,29 @@ def test_flagship_like_search_strip_count(monkeypatch):
     assert calls[0] <= 1_879
 
 
+def test_flagship_like_search_chain_build_count(monkeypatch):
+    """A perf gate that does not depend on the machine: chain builds.
+
+    Every ``PermGroup`` built by the search counts, those that derive
+    the walk generators of each walked group included (233 builds when
+    a prune pass built one chain per kept generator prefix); it is
+    deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,8), frob)").group
+    builds = [0]
+    init = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [6]
+    assert builds[0] <= 164
+
+
 def test_partition_walk_count(monkeypatch):
     """A perf gate that does not depend on the machine: partition moves.
 

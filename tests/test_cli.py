@@ -371,6 +371,50 @@ def test_group_file_above_degree_cap_exits_3(capsys, tmp_path, monkeypatch):
     assert err == "cap exceeded: degree 6 exceeds 5\n"
 
 
+def _no_group_is_built(monkeypatch):
+    from carterlab.permgrp.group import PermGroup
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a group was built")
+    monkeypatch.setattr(PermGroup, "__init__", refuse)
+
+
+@pytest.mark.parametrize("template", ["Sym({})", "Alt({})", "PSL(2,{})",
+                                      "Ext(PSL(2,8), frob^{})"])
+def test_spec_integer_past_the_digit_limit_exits_2(capsys, monkeypatch, template):
+    """int() refuses strings of more than 4,300 digits with a ValueError."""
+    if not template.startswith("Ext"):      # Ext builds its inner group first
+        _no_group_is_built(monkeypatch)
+    code, out, err = run_cli(capsys, "group", "info", template.format("9" * 5000))
+    assert code == 2 and out == ""
+    assert err.startswith("error: integer in ") and err.endswith(" has 5000 digits\n")
+
+
+def test_large_q_is_rejected_before_it_is_factored(capsys, monkeypatch):
+    from carterlab.linear import classical
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr(classical, "prime_factors", refuse)
+    _no_group_is_built(monkeypatch)
+    code, out, err = run_cli(capsys, "group", "info", "PSL(2,1000000000000000003)")
+    assert code == 2 and out == ""
+    assert err == ("error: PSL(2,1000000000000000003): "
+                   "field size must be between p and 2^16\n")
+
+
+@pytest.mark.parametrize("name", ["Sym", "Alt"])
+def test_sym_and_alt_above_degree_cap_exit_3(capsys, monkeypatch, name):
+    from carterlab.permgrp import io
+    monkeypatch.setattr(io, "DEGREE_CAP", 5)
+    code, out, _ = run_cli(capsys, "group", "info", f"{name}(5)")
+    assert code == 0 and out.startswith(f"{name}(5): degree 5")
+    _no_group_is_built(monkeypatch)
+    code, out, err = run_cli(capsys, "group", "info", f"{name}(6)")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: degree 6 exceeds 5\n"
+
+
 @pytest.mark.parametrize("q", ["1", "0", "-3"])
 def test_torus_q_below_two_exits_2(capsys, q):
     code, out, err = run_cli(capsys, "torus", "G2", "--q", q)

@@ -113,8 +113,8 @@ def test_walk_generators_are_short_and_generate_the_group(corpus):
     from carterlab.linear.groupspec import realize
     from carterlab.verify import REGISTRY
     specs = [spec for case in REGISTRY.list_cases() for spec in case.group_specs]
-    specs += list(corpus) + ["PSU(3,3)", "PSL(3,4)", "Ext(PSL(2,8), frob)"]
-    assert "W(E6)" in specs
+    specs += list(corpus) + ["PSU(3,3)", "PSL(3,4)", "Ext(PSL(2,8), frob)", "W(D4)"]
+    assert "W(E6)" in specs and "PSL(3,2)" in specs
     for spec in dict.fromkeys(specs):
         G = realize(spec).group
         realized = G.generators
@@ -122,10 +122,9 @@ def test_walk_generators_are_short_and_generate_the_group(corpus):
         assert G.generators is realized, spec
         assert all(g in G for g in walk), spec
         assert PermGroup(walk, G.degree).order() == G.order(), spec
-        if spec == "PSL(3,2)":
-            # no pair of the rule generates it: the pruned list, in order
-            assert walk == tuple(g for g in realized if g in walk), spec
-            assert len(walk) == 4
+        if spec == "W(D4)":
+            # 2-generated, but no pair of the rule generates it
+            assert walk == realized and len(walk) == 4
         else:
             assert len(walk) <= 2, spec
         fresh = realize(spec).group
@@ -170,12 +169,17 @@ def test_known_order_builds_equal_unhinted_builds(monkeypatch, spec):
     known bound on the order is the build that runs to the end."""
     from carterlab.linear.groupspec import realize
     from carterlab.permgrp.carter import carter_subgroups
-    from carterlab.permgrp.search import conjugacy_classes
+    from carterlab.permgrp.search import (conjugacy_classes,
+                                          element_centralizer_with_known_index)
     realized = realize(spec).group      # W(F4) may be cached, chain and all
     hints = _rebuild_hinted_builds(monkeypatch)
     G = PermGroup(realized.generators, realized.degree)
     if spec == "W(F4)":
-        assert len(conjugacy_classes(G)) == 25
+        classes = conjugacy_classes(G)
+        assert len(classes) == 25
+        for rep, size in classes:
+            C = element_centralizer_with_known_index(G, rep, size)
+            assert C.order() * size == 1152
         assert G.rebase(reversed(range(G.degree))).order() == 1152
     else:
         carter_subgroups(G)
