@@ -11,6 +11,7 @@ by tests through the permutation realization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,10 @@ class ClassicalGroupSpec:
         if self.family in ("SU", "GU") and self.n != 3:
             raise ValueError("only 3-dimensional unitary groups are supported")
 
-    @property
+    @functools.cached_property
     def field(self) -> FiniteField:
+        """GF(q), or GF(q^2) for unitary families; q is split into (p, k)
+        on the first read only."""
         p, k = _split_prime_power(self.q)
         if self.family in ("SU", "GU"):
             return field_make(p, 2 * k)

@@ -113,6 +113,11 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             raise InputError("Ext(<spec>, frob[^j] | graph) takes two arguments")
         mode = args[1].strip()
         graph = mode == "graph"
+        if not graph:       # checked first: a bad mode costs no inner group
+            fm = re.fullmatch(r"frob(?:\^(\d+))?", mode)
+            if not fm:
+                raise InputError(f"unknown Ext automorphism {mode!r}")
+            j = _int_arg(fm.group(1) or "1", "Ext")
         try:
             inner = realize(args[0], need_hyperplanes=need_hyperplanes or graph)
         except RecursionError:
@@ -125,10 +130,6 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             except ValueError as exc:
                 raise InputError(f"Ext({inner.label}, graph): {exc}") from exc
         else:
-            fm = re.fullmatch(r"frob(?:\^(\d+))?", mode)
-            if not fm:
-                raise InputError(f"unknown Ext automorphism {mode!r}")
-            j = _int_arg(fm.group(1) or "1", "Ext")
             auto = frobenius_perm(inner.action) ** j
         G = extend_by_autos(inner.group, [auto])
         return RealizedGroup(f"Ext({inner.label}, {mode})", G,

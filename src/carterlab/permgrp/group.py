@@ -8,10 +8,6 @@ then the first point moved by the current stabilizer (an optional
 ``base_hint`` is consulted first, which lets callers rebase a group or
 cross-check orders from independent bases).
 
-Transversals are stored as explicit permutations together with their
-inverses; at desk scale (degree <= a few hundred) this is cheaper than
-Schreier vectors and makes sifting allocation-free.
-
 A build may be told an upper bound on |<gens>| (the private
 ``_known_order``).  A partial chain's orbits are orbits of subgroups of
 the true point stabilizers, so the product of their lengths never
@@ -98,20 +94,17 @@ def _image(point: int, g: Perm) -> int:
 
 
 class _Level:
-    __slots__ = ("beta", "gens", "transversal", "inverse")
+    __slots__ = ("beta", "gens", "transversal")
 
     def __init__(self, beta: int, degree: int):
         self.beta = beta
         self.gens: list[Perm] = []
-        ident = Perm.identity(degree)
-        self.transversal = {beta: ident}
-        self.inverse = {beta: ident}
+        self.transversal = {beta: Perm.identity(degree)}
 
     def extend_orbit(self):
         """Grow the orbit/transversal after new generators were added."""
-        for _, _, image, known in walk(self.transversal, self.gens, _image):
-            if known is None:
-                self.inverse[image] = self.transversal[image].inverse()
+        for _ in walk(self.transversal, self.gens, _image):
+            pass
 
 
 class PermGroup:
@@ -191,7 +184,7 @@ class PermGroup:
             p = g[lv.beta]
             if p not in lv.transversal:
                 return g
-            g = g * lv.inverse[p]
+            g = g / lv.transversal[p]
         return g
 
     def _schreier_sims(self, known_order=None):
@@ -210,7 +203,7 @@ class PermGroup:
                     us = u * s
                     if us == lv.transversal[q]:     # a trivial Schreier generator
                         continue
-                    residue = self._strip(us * lv.inverse[q], i + 1)
+                    residue = self._strip(us / lv.transversal[q], i + 1)
                     if not residue.is_identity():
                         i = self._insert_generator(residue)
                         complete = False

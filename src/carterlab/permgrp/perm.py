@@ -12,6 +12,7 @@ translation table that maps i to ``b[i]`` for i < n:
 
 - product: ``a.translate(b + _ID[n:])`` has ``b[a[i]]`` at i;
 - inverse: ``bytes.maketrans(a, _ID[:n])`` has i at ``a[i]``;
+- division: ``a.translate(bytes.maketrans(b, _ID[:n]))`` is ``a * b⁻¹``;
 - conjugate: ``bytes.maketrans(g, x.translate(g + _ID[n:]))`` has
   ``g[x[i]]`` at ``g[i]``, which is where ``g⁻¹xg`` has it;
 - order: ``y.translate(x + _ID[n:])`` steps y = x^k to x^(k+1), from
@@ -82,6 +83,9 @@ class _PermMethods:
 
     def is_identity(self) -> bool:
         return self == _identity(len(self))
+
+    def __truediv__(self, u):  # self * u⁻¹
+        return self * u.inverse()
 
     def __pow__(self, k: int) -> Perm:
         n = len(self)
@@ -163,6 +167,9 @@ class Perm(_PermMethods, bytes):
 
     def __mul__(self, other):  # apply self, then other
         return bytes.__new__(Perm, self.translate(other + _ID[len(self):]))
+
+    def __truediv__(self, u):  # self * u⁻¹
+        return bytes.__new__(Perm, self.translate(bytes.maketrans(u, _ID[:len(self)])))
 
     def inverse(self) -> Perm:
         n = len(self)

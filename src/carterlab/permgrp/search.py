@@ -90,7 +90,7 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
     stab = PermGroup(seed_gens, G.degree, _known_order=order)
     if stab.order() < order:
         for u, s, known in edges:
-            g = u * s * known.inverse()
+            g = u * s / known
             if not g.is_identity() and g not in stab:
                 stab = PermGroup(stab.generators + (g,), G.degree,
                                  _known_order=order)

@@ -106,3 +106,20 @@ def test_unsupported_specs_rejected():
     for q in (0, 1, 6, 12):
         with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
             ClassicalGroupSpec("SL", 2, q).field
+
+
+def test_q_is_split_once_per_spec(monkeypatch):
+    """Realizing PSU(3,3) reads its spec's field for every matrix entry
+    it conjugates, but factors q on the first read only (415 times when
+    every read factored it)."""
+    from carterlab.linear import classical
+    from carterlab.linear.groupspec import realize
+    calls = [0]
+    split = classical._split_prime_power
+
+    def counting(q):
+        calls[0] += 1
+        return split(q)
+    monkeypatch.setattr(classical, "_split_prime_power", counting)
+    assert realize("PSU(3,3)").group.order() == 6048
+    assert calls[0] == 1

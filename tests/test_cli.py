@@ -383,11 +383,21 @@ def _no_group_is_built(monkeypatch):
                                       "Ext(PSL(2,8), frob^{})"])
 def test_spec_integer_past_the_digit_limit_exits_2(capsys, monkeypatch, template):
     """int() refuses strings of more than 4,300 digits with a ValueError."""
-    if not template.startswith("Ext"):      # Ext builds its inner group first
-        _no_group_is_built(monkeypatch)
+    _no_group_is_built(monkeypatch)
     code, out, err = run_cli(capsys, "group", "info", template.format("9" * 5000))
     assert code == 2 and out == ""
     assert err.startswith("error: integer in ") and err.endswith(" has 5000 digits\n")
+
+
+def test_unknown_ext_automorphism_exits_2_before_realizing(capsys, monkeypatch):
+    """The automorphism is parsed first: a bad one costs no inner group."""
+    from carterlab.linear import groupspec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inner group was realized")
+    monkeypatch.setattr(groupspec, "realize", refuse)
+    code, out, err = run_cli(capsys, "group", "info", "Ext(PSL(2,1024), bogus)")
+    assert (code, out, err) == (2, "", "error: unknown Ext automorphism 'bogus'\n")
 
 
 def test_large_q_is_rejected_before_it_is_factored(capsys, monkeypatch):

@@ -91,6 +91,23 @@ def test_kernel_matches_index_formulas(n):
         assert not Perm.from_cycles(n, [(n - 2, n - 1)]).is_identity()
 
 
+@pytest.mark.parametrize("narrow_degree", [perm.NARROW_DEGREE, 1])
+@pytest.mark.parametrize("n", [1, 2, 28, 256, 257, 1000])
+def test_division_is_the_product_by_the_inverse(monkeypatch, n, narrow_degree):
+    """g / u == g * u⁻¹ in either layout: with NARROW_DEGREE = 1 every
+    permutation of degree 2 or more is wide.  No identity is built here,
+    since identities are cached per degree."""
+    monkeypatch.setattr(perm, "NARROW_DEGREE", narrow_degree)
+    kind = Perm if n <= narrow_degree else perm._WidePerm
+    rng = random.Random(n)
+    for _ in range(10):
+        g, u = (Perm(rng.sample(range(n), n)) for _ in range(2))
+        q = g / u
+        assert type(g) is type(q) is kind
+        assert q == g * u.inverse() and q * u == g
+        assert tuple(g / g) == tuple(range(n))
+
+
 def test_products_of_degree_below_two():
     for n in (0, 1):
         e = Perm.identity(n)

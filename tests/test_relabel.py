@@ -13,6 +13,7 @@ generators derived from the relabelled generators.
 
 import functools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from carterlab.permgrp.search import (are_conjugate_elements,
                                       conjugacy_classes, element_centralizer,
                                       subgroup_normalizer)
 from carterlab.permgrp.sylow import sylow_subgroup
+from carterlab.rootsys import e6scan
 
 # a Carter search of W(E6) takes seconds; its other answers are relabelled
 SEARCHED = ["Ext(PSL(2,27), frob)", "PSp(4,3)", "PSL(3,4)"]
@@ -49,12 +51,16 @@ def _conjugate_group(H: PermGroup, r: Perm) -> PermGroup:
     return PermGroup([h.conjugate(r) for h in H.generators], H.degree)
 
 
+def _relabelling(degree: int, rng) -> Perm:
+    points = list(range(degree))
+    rng.shuffle(points)
+    return Perm(points)
+
+
 def _check_relabelled(spec: str, seed: int):
     G, classes, criterion, S, n_order, carter = _answers(spec)
     rng = random.Random(seed)
-    points = list(range(G.degree))
-    rng.shuffle(points)
-    r = Perm(points)
+    r = _relabelling(G.degree, rng)
     Gr = _conjugate_group(G, r)
     assert Gr.order() == G.order()
 
@@ -96,3 +102,20 @@ def test_relabelled_group_gives_the_same_answers(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_relabelled_group_gives_the_same_answers_for_more_seeds(spec, seed):
     _check_relabelled(spec, seed)
+
+
+def test_relabelled_weyl_e6_gives_the_same_scan(monkeypatch):
+    """The W(E6) centralizer scan on relabelled points: each class keeps
+    its size and its number of order-3 subgroup classes (classes may come
+    in another order), and every class passes with no offender."""
+    def sizes(results):
+        return sorted((r.class_size, r.order3_subgroup_classes) for r in results)
+    expected = sizes(e6scan.e6_centralizer_scan())
+    G = realize("W(E6)").group
+    Gr = _conjugate_group(G, _relabelling(G.degree, random.Random(1)))
+    assert Gr.generators != G.generators
+    monkeypatch.setattr(e6scan, "weyl_group",
+                        lambda Phi: SimpleNamespace(perm_group=Gr))
+    results = e6scan.e6_centralizer_scan()
+    assert sizes(results) == expected
+    assert all(r.passed and r.self_normalizing == [] for r in results)
