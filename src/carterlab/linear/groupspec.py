@@ -96,6 +96,9 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
             cspec = ClassicalGroupSpec(family, n, q)
             action = (ProjectiveAction(cspec, include_hyperplanes=need_hyperplanes)
                       if projective else ProjectiveAction(cspec, linear=True))
+            if need_hyperplanes:
+                # only a graph automorphism asks for them: fail before the chain
+                graph_auto_perm(action)
         except ValueError as exc:
             raise InputError(f"{name}({n},{q}): {exc}") from exc
         return RealizedGroup(f"{name}({n},{q})", action.group(), action=action)
@@ -125,10 +128,7 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
         if inner.action is None:
             raise InputError("Ext requires a matrix-realized inner group")
         if graph:
-            try:
-                auto = graph_auto_perm(inner.action)
-            except ValueError as exc:
-                raise InputError(f"Ext({inner.label}, graph): {exc}") from exc
+            auto = graph_auto_perm(inner.action)
         else:
             auto = frobenius_perm(inner.action) ** j
         G = extend_by_autos(inner.group, [auto])

@@ -9,30 +9,41 @@ because a proper subgroup of a nilpotent K never equals its normalizer
 in K, so K grows from the trivial subgroup through such prime steps.
 Self-normalizing nodes are exactly the Carter classes.
 
-Three economies keep this desk-sized.  Extension candidates are taken
+Five economies keep this desk-sized.  Extension candidates are taken
 up to N_G(H)-conjugacy (conjugate candidates give G-conjugate
 extensions, since they fix H).  Both the first layer, G's classes of
 prime-order elements, and the candidates of later layers are listed by
-the one class lister that ``conjugacy_classes`` uses, given the
-candidate test as a class function: it tests one element per listed
-class and never walks the classes the test rejects.  Class
-deduplication buckets subgroups by (order, orbit signature,
-element-order multiset), computed once per subgroup, before running a
-conjugacy search.
+``class_orbits``, the class lister that ``conjugacy_classes`` uses,
+given the candidate test as a class function: it tests one element per
+listed class and never walks the classes the test rejects.  On a group
+of order at least ``SYLOW_SEED_ORDER`` the first layer streams the
+elements of one Sylow p-subgroup per prime p instead of all of G: every
+element of order p is conjugate into it (Sylow's theorem), and each
+class listed is a whole G-orbit, so its least member is the same;
+below that order a Sylow subgroup costs more than the elements it
+saves.  An extension K = <H, x> is built knowing its order |H| p, where
+p is the prime order of xH, so its chain build stops once complete.
+K's element orders are read once: their multiset decides nilpotency,
+and class deduplication buckets subgroups by (order, orbit signature,
+element-order multiset) before running a conjugacy search.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import CapExceeded
+from . import search
 from .group import PermGroup
-from .search import (_classes, are_conjugate_subgroups, subgroup_centralizer,
-                     subgroup_normalizer)
-from .sylow import is_nilpotent, p_part, prime_factors, sylow_subgroup
+from .search import (are_conjugate_subgroups, class_orbits,
+                     subgroup_centralizer, subgroup_normalizer)
+from .sylow import (_nilpotent_by_orders, is_nilpotent, p_part, prime_factors,
+                    sylow_subgroup)
 
 FULL_SEARCH_CAP = 100_000
+SYLOW_SEED_ORDER = 10_000
 _CANDIDATE_ENUM_CAP = 120_000
 
 
@@ -63,22 +74,28 @@ def is_carter_witness(G: PermGroup, K: PermGroup) -> bool:
     return subgroup_normalizer(G, K).order() == K.order()
 
 
-def _order_multiset(H: PermGroup) -> tuple:
-    return tuple(sorted(g.order() for g in H.elements()))
+def _prime_order_candidates(N: PermGroup, H: PermGroup) -> list:
+    """(x, p) for the x in N with xH of prime order p, up to N-conjugacy.
 
-
-def _prime_order_candidates(N: PermGroup, H: PermGroup):
-    """Elements of N of prime order modulo H, up to N-conjugacy.
-
-    Deterministic: each representative is the least element of its
-    N-class.  ``prime_step`` is a class function of N, as ``_classes``
-    requires, since N normalizes H.
+    Deterministic: each x is the least element of its N-class, and the
+    pairs are sorted.  ``prime_step`` is a class function of N, as
+    ``class_orbits`` requires, since N normalizes H; it records the p it
+    finds for each class it keeps, in the order the classes are listed.
     """
-    def prime_step(y) -> bool:
-        # yH has prime order iff yH != H and y^p lies in H for a prime p | o(y)
-        return y not in H and any((y ** p) in H for p in prime_factors(y.order()))
+    found = []
 
-    return sorted(rep for _, rep in _classes(N, prime_step))
+    def prime_step(y) -> bool:
+        # yH has prime order p iff yH != H and y^p lies in H for a prime p | o(y)
+        if y in H:
+            return False
+        p = next((p for p in prime_factors(y.order()) if (y ** p) in H), None)
+        if p is None:
+            return False
+        found.append(p)
+        return True
+
+    return sorted((min(f), found[i]) for i, f
+                  in enumerate(class_orbits(N, N.elements(), prime_step)))
 
 
 def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassSet:
@@ -89,42 +106,55 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             "use is_carter_witness for single candidates")
     buckets: dict[tuple, list[PermGroup]] = {}
 
-    def is_new(H: PermGroup) -> bool:
+    def is_new(H: PermGroup, orders: tuple) -> bool:
         """Record H's class, bucketed by cheap invariants; True if new."""
-        key = (H.order(), H.orbit_signature(), _order_multiset(H))
+        key = (H.order(), H.orbit_signature(), orders)
         bucket = buckets.setdefault(key, [])
         if any(are_conjugate_subgroups(G, rep, H) is not None for rep in bucket):
             return False
         bucket.append(H)
         return True
 
-    primes = set(prime_factors(G.order()))     # every element order divides |G|
+    primes = prime_factors(G.order())     # every element order divides |G|
     trivial = PermGroup.trivial(G.degree)
-    is_new(trivial)
-    queue = deque([trivial])
+    is_new(trivial, (1,))
+    # each node travels with its sorted element orders, its multiset key
+    queue = deque([(trivial, (1,))])
     carter_reps = []
     while queue:
-        H = queue.popleft()
+        H, orders = queue.popleft()
         N = subgroup_normalizer(G, H)
         if N.order() == H.order():
-            carter_reps.append(H)     # nilpotent and self-normalizing
+            carter_reps.append((H, orders))     # nilpotent and self-normalizing
             continue
         if H.is_trivial():
-            # first layer: prime-order class representatives of G itself
-            reps = [rep for _, rep in _classes(G, lambda y: y.order() in primes)]
+            # first layer: G's classes of elements of prime order p
+            if G.order() > search.CLASS_ENUMERATION_CAP:
+                raise CapExceeded(
+                    f"|G| = {G.order()} exceeds class enumeration cap")
+            if G.order() < SYLOW_SEED_ORDER:
+                stream = G.elements()
+            else:
+                # each element of order p is conjugate into a Sylow p-subgroup
+                stream = chain.from_iterable(
+                    sylow_subgroup(G, p).elements() for p in primes)
+            classes = sorted((len(f), min(f)) for f in class_orbits(
+                G, stream, lambda y: y.order() in primes))
+            steps = [(x, x.order()) for _, x in classes]
         else:
             if N.order() > _CANDIDATE_ENUM_CAP:
                 raise CapExceeded(
                     f"normalizer order {N.order()} exceeds enumeration cap")
-            reps = _prime_order_candidates(N, H)
-        for x in reps:
-            K = PermGroup(H.generators + (x,), G.degree)
-            if not is_nilpotent(K):
-                continue
-            if is_new(K):
-                queue.append(K)
-    return SubgroupClassSet(G, tuple(sorted(
-        carter_reps, key=lambda R: (R.order(), _order_multiset(R)))))
+            steps = _prime_order_candidates(N, H)
+        for x, p in steps:
+            # xH has order p in N/H, so |<H, x>| = |H| p
+            K = PermGroup(H.generators + (x,), G.degree,
+                          _known_order=H.order() * p)
+            orders = tuple(sorted(g.order() for g in K.elements()))
+            if _nilpotent_by_orders(K.order(), orders) and is_new(K, orders):
+                queue.append((K, orders))
+    carter_reps.sort(key=lambda node: (node[0].order(), node[1]))
+    return SubgroupClassSet(G, tuple(R for R, _ in carter_reps))
 
 
 def check_syl2_criterion(G: PermGroup) -> bool:

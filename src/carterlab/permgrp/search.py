@@ -40,14 +40,13 @@ no transversal (orbit partitions, classes) use ``group.orbits`` and
 ``group.orbit``.
 
 One class lister, ``class_orbits``, serves ``conjugacy_classes``, the
-Carter search's first layer and its extension candidates (through
-``_classes``), and the twisted classes of a Weyl group, the classes of W
-on its coset W·τ⁻¹.  It remembers each member of a listed class only by
-its base images, which determine an element within a coset, so a few
-ints stand for a whole permutation and the group is never held.  Once
-the listed members number |G| the whole coset is listed, and it stops
-reading its stream: W(E6)'s classes are all found by its 1,436th
-element.
+Carter search's first layer and its extension candidates, and the
+twisted classes of a Weyl group, the classes of W on its coset W·τ⁻¹.
+It remembers each member of a listed class only by its base images,
+which determine an element within a coset, so a few ints stand for a
+whole permutation and the group is never held.  Once the listed
+members number |G| the whole coset is listed, and it stops reading its
+stream: W(E6)'s classes are all found by its 1,436th element.
 """
 
 from __future__ import annotations
@@ -233,23 +232,18 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
 def conjugacy_classes(G: PermGroup):
     """All conjugacy classes as (representative, size), deterministically.
 
-    Lists every class with ``_classes``; class sizes therefore certify
-    completeness by summing to |G|.  The representative is the
+    Lists every class with ``class_orbits``; class sizes therefore
+    certify completeness by summing to |G|.  The representative is the
     lexicographically least element of its class.  Classes are sorted
     by (size, representative).
     """
-    classes = [(rep, size) for size, rep in _classes(G)]
-    assert sum(size for _, size in classes) == G.order()
-    return classes
-
-
-def _classes(G: PermGroup, keep=None) -> list:
-    """Sorted (size, least member) of the G-classes whose members pass
-    ``keep`` (all classes when it is None); see ``class_orbits``."""
     if G.order() > CLASS_ENUMERATION_CAP:
         raise CapExceeded(
             f"|G| = {G.order()} exceeds class enumeration cap")
-    return sorted((len(f), min(f)) for f in class_orbits(G, G.elements(), keep))
+    classes = [(rep, size) for size, rep in sorted(
+        (len(f), min(f)) for f in class_orbits(G, G.elements()))]
+    assert sum(size for _, size in classes) == G.order()
+    return classes
 
 
 def class_orbits(G: PermGroup, elements, keep=None):

@@ -9,6 +9,8 @@ outside H, so every call returns the same Sylow subgroup.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .perm import Perm
 from .group import PermGroup
 from .search import subgroup_normalizer
@@ -71,16 +73,20 @@ def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int):
 
 
 def is_nilpotent(H: PermGroup) -> bool:
-    """Whether H is nilpotent: for each prime p dividing |H|, exactly |H|_p
-    elements have p-power order (so the Sylow p-subgroup is unique, hence
-    normal).  One pass over the elements; no Sylow subgroup is built."""
-    n = H.order()
+    """Whether H is nilpotent, by ``_nilpotent_by_orders``: one pass over
+    the elements; no Sylow subgroup is built."""
+    return _nilpotent_by_orders(H.order(), (g.order() for g in H.elements()))
+
+
+def _nilpotent_by_orders(n: int, orders) -> bool:
+    """Whether a group of order n with element orders ``orders`` is
+    nilpotent: for each prime p dividing n, exactly n_p elements have
+    p-power order (so the Sylow p-subgroup is unique, hence normal)."""
     counts = {p: 0 for p in prime_factors(n)}
-    for g in H.elements():
-        o = g.order()
+    for o, k in Counter(orders).items():
         for p in counts:
             if p_part(o, p) == o:
-                counts[p] += 1
+                counts[p] += k
     return all(counts[p] == p_part(n, p) for p in counts)
 
 

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import CORPUS_SPECS, corpus_upto, random_subgroups
-from carterlab.permgrp import bruteforce
+from carterlab.permgrp import bruteforce, carter
 from carterlab.permgrp.bruteforce import (all_subgroups, brute_carter_classes,
                                           brute_centralizer, brute_normalizer,
                                           brute_subgroup_conjugator,
                                           closure_order)
 from carterlab.errors import CapExceeded
-from carterlab.permgrp.carter import (_prime_order_candidates,
+from carterlab.permgrp.carter import (FULL_SEARCH_CAP, _prime_order_candidates,
                                       carter_class_containing_sylow2,
                                       carter_subgroups, check_syl2_criterion,
                                       is_carter_witness)
@@ -19,6 +19,7 @@ from carterlab.permgrp.search import (are_conjugate_subgroups,
                                       subgroup_normalizer)
 from carterlab.permgrp.sylow import (commutator_subgroup, is_prime, p_part,
                                      prime_factors, sylow_subgroup)
+from carterlab.verify import CARTER_CATALOG
 
 
 SMALL_EXPECTED = {
@@ -277,8 +278,8 @@ def test_carter_of_direct_factor_projection():
 
 
 def _reference_candidates(N: PermGroup, H: PermGroup) -> list:
-    """Least members of the N-classes of the y in N with yH of prime
-    order, by conjugating with every element of N."""
+    """(least member, p) for the N-classes of the y in N with yH of prime
+    order p, by conjugating with every element of N."""
     in_H = frozenset(H.elements())
     elements = list(N.elements())
 
@@ -293,7 +294,8 @@ def _reference_candidates(N: PermGroup, H: PermGroup) -> list:
         if y not in seen and is_prime(coset_order(y)):
             cls = {y.conjugate(n) for n in elements}
             seen |= cls
-            reps.append(min(cls))
+            rep = min(cls)
+            reps.append((rep, coset_order(rep)))
     return sorted(reps)
 
 
@@ -368,10 +370,11 @@ def test_flagship_like_search_strip_count(monkeypatch):
     """A perf gate that does not depend on the machine: sifts.
 
     Chain builds whose order is known in advance (a stabilizer harvest
-    after its orbit walk, the walk-generator tests, a rebase) stop once
-    their orbit lengths reach it, and a trivial Schreier generator is
-    skipped before it is sifted (3,495 calls when every build ran to
-    the end); it is deterministic.
+    after its orbit walk, the walk-generator tests, a rebase, an
+    extension <H, x> of order |H| p) stop once their orbit lengths reach
+    it, and a trivial Schreier generator is skipped before it is sifted
+    (3,495 calls when every build ran to the end, 1,642 when extensions
+    were built without their order); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
@@ -385,7 +388,57 @@ def test_flagship_like_search_strip_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "_strip", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert calls[0] <= 1_879
+    assert calls[0] <= 1_261
+
+
+def test_flagship_search_element_and_order_counts(monkeypatch):
+    """A perf gate that does not depend on the machine: elements read
+    through ``PermGroup.elements`` and ``Perm.order`` calls.
+
+    On a group of order at least ``SYLOW_SEED_ORDER`` the first layer
+    reads one Sylow subgroup's elements per prime instead of G's, and
+    each extension's element orders are read once, for its nilpotency
+    and its bucket key (43,572 elements and 30,925 orders when the first
+    layer read all 29,484 elements of G and orders were read twice); it
+    is deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,27), frob)").group
+    calls = {"elements": 0, "order": 0}
+    elements, order = PermGroup.elements, Perm.order
+
+    def counting_elements(self):
+        for g in elements(self):
+            calls["elements"] += 1
+            yield g
+
+    def counting_order(self):
+        calls["order"] += 1
+        return order(self)
+
+    monkeypatch.setattr(PermGroup, "elements", counting_elements)
+    monkeypatch.setattr(Perm, "order", counting_order)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [81]
+    assert calls["elements"] <= 11_586
+    assert calls["order"] <= 8_203
+
+
+@pytest.mark.parametrize("spec", [
+    *dict.fromkeys(spec for spec, *_ in CARTER_CATALOG.values()),
+    "Sym(7)", "PSU(3,3)", "Ext(PSL(2,27), frob)"])
+def test_sylow_seeded_first_layer_gives_the_same_classes(monkeypatch, spec):
+    """Every element of prime order p is conjugate into a Sylow
+    p-subgroup, so the first layer streamed from Sylow subgroups lists
+    the classes that streaming all of G lists: the representatives,
+    generators included, are the same."""
+    from carterlab.linear.groupspec import realize
+    G = realize(spec).group
+    found = []
+    for seed_order in (1, FULL_SEARCH_CAP + 1):
+        monkeypatch.setattr(carter, "SYLOW_SEED_ORDER", seed_order)
+        found.append([R.generators for R in carter_subgroups(G).representatives])
+    assert found[0] == found[1], spec
 
 
 def test_flagship_like_search_chain_build_count(monkeypatch):

@@ -136,8 +136,16 @@ def test_carter_cap_below_one_exits_2(capsys, cap):
 
 
 def test_carter_beyond_class_cap_exits_3(capsys, monkeypatch):
-    from carterlab.permgrp import search
+    from carterlab.permgrp import carter, search
     monkeypatch.setattr(search, "CLASS_ENUMERATION_CAP", 100)     # |Sym(5)| = 120
+    code, _, err = run_cli(capsys, "carter", "Sym(5)")
+    assert code == 3 and "cap" in err
+
+    # a first layer streamed from Sylow subgroups checks the cap first
+    def refuse(G, p):
+        raise AssertionError("a Sylow subgroup was built")
+    monkeypatch.setattr(carter, "SYLOW_SEED_ORDER", 1)
+    monkeypatch.setattr(carter, "sylow_subgroup", refuse)
     code, _, err = run_cli(capsys, "carter", "Sym(5)")
     assert code == 3 and "cap" in err
 
@@ -398,6 +406,18 @@ def test_unknown_ext_automorphism_exits_2_before_realizing(capsys, monkeypatch):
     monkeypatch.setattr(groupspec, "realize", refuse)
     code, out, err = run_cli(capsys, "group", "info", "Ext(PSL(2,1024), bogus)")
     assert (code, out, err) == (2, "", "error: unknown Ext automorphism 'bogus'\n")
+
+
+@pytest.mark.parametrize("spec", ["Ext(PSL(2,1024), graph)",
+                                  "Ext(PGammaL(2,8), graph)"])
+def test_graph_automorphism_in_dimension_two_exits_2_before_any_chain(
+        capsys, monkeypatch, spec):
+    """The dimension is checked once the action is built, before its group."""
+    _no_group_is_built(monkeypatch)
+    code, out, err = run_cli(capsys, "group", "info", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(": graph automorphism needs dimension >= 3\n")
 
 
 def test_large_q_is_rejected_before_it_is_factored(capsys, monkeypatch):

@@ -28,9 +28,7 @@ from carterlab.permgrp.search import (are_conjugate_elements,
 from carterlab.permgrp.sylow import sylow_subgroup
 from carterlab.rootsys import e6scan
 
-# a Carter search of W(E6) takes seconds; its other answers are relabelled
-SEARCHED = ["Ext(PSL(2,27), frob)", "PSp(4,3)", "PSL(3,4)"]
-SPECS = SEARCHED + ["W(E6)"]
+SPECS = ["Ext(PSL(2,27), frob)", "PSp(4,3)", "PSL(3,4)", "W(E6)"]
 
 
 def _class_invariants(classes) -> list:
@@ -42,9 +40,8 @@ def _answers(spec: str):
     """The answers on the group as realized, computed once per spec."""
     G = realize(spec).group
     S = sylow_subgroup(G, 2)
-    carter = carter_subgroups(G).representatives if spec in SEARCHED else None
-    return (G, conjugacy_classes(G), check_syl2_criterion(G),
-            S, subgroup_normalizer(G, S).order(), carter)
+    return (G, conjugacy_classes(G), check_syl2_criterion(G), S,
+            subgroup_normalizer(G, S).order(), carter_subgroups(G).representatives)
 
 
 def _conjugate_group(H: PermGroup, r: Perm) -> PermGroup:
@@ -81,8 +78,6 @@ def _check_relabelled(spec: str, seed: int):
     g = are_conjugate_subgroups(Gr, Sr, S2)
     assert g in Gr and _conjugate_group(Sr, g).same_group_as(S2)
 
-    if carter is None:
-        return
     found = carter_subgroups(Gr).representatives
     assert [R.order() for R in found] == [R.order() for R in carter]
     for R, Q in zip(carter, found):

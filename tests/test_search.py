@@ -239,7 +239,9 @@ def test_first_layer_is_the_prime_order_classes(corpus):
         expected = [(size, rep) for rep, size in conjugacy_classes(G)
                     if is_prime(rep.order())]
         prime = lambda y: is_prime(y.order())
-        assert search._classes(G, prime) == expected, spec
+        listed = sorted((len(f), min(f))
+                        for f in search.class_orbits(G, G.elements(), prime))
+        assert listed == expected, spec
         layers += len(expected) > 1
     assert layers >= 25, layers
 
