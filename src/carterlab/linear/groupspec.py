@@ -11,7 +11,8 @@ Grammar (case-sensitive names, whitespace ignored):
     W(<type><rank>)                                       -- Weyl group on roots, e.g. W(E6)
     File(<path>)                                          -- JSON generator file
 
-``Ext(..., graph)`` realizes the inner group on points plus hyperplanes.
+``Ext(..., graph)`` realizes the inner group on points plus hyperplanes,
+so its matrix group must act on projective points.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def realize(spec_text: str, need_hyperplanes: bool = False) -> RealizedGroup:
         family = name[1:] if projective else name
         try:
             cspec = ClassicalGroupSpec(family, n, q)
-            action = (ProjectiveAction(cspec, include_hyperplanes=need_hyperplanes)
-                      if projective else ProjectiveAction(cspec, linear=True))
+            action = ProjectiveAction(cspec, include_hyperplanes=need_hyperplanes,
+                                      linear=not projective)
             if need_hyperplanes:
                 # only a graph automorphism asks for them: fail before the chain
                 graph_auto_perm(action)

@@ -26,6 +26,11 @@ p is the prime order of xH, so its chain build stops once complete.
 K's element orders are read once: their multiset decides nilpotency,
 and class deduplication buckets subgroups by (order, orbit signature,
 element-order multiset) before running a conjugacy search.
+
+The search refuses a G above its cap (``FULL_SEARCH_CAP`` unless the
+caller gives one) or above ``search.CLASS_ENUMERATION_CAP``, both
+checked once before any node is expanded: every normalizer the search
+lists is a subgroup of G, so |G| bounds every listing.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .sylow import (_nilpotent_by_orders, is_nilpotent, p_part, prime_factors,
 
 FULL_SEARCH_CAP = 100_000
 SYLOW_SEED_ORDER = 10_000
-_CANDIDATE_ENUM_CAP = 120_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,9 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
         raise CapExceeded(
             f"|G| = {G.order()} exceeds the full-search cap {cap}; "
             "use is_carter_witness for single candidates")
+    # every normalizer the search lists is a subgroup of G
+    if G.order() > search.CLASS_ENUMERATION_CAP:
+        raise CapExceeded(f"|G| = {G.order()} exceeds class enumeration cap")
     buckets: dict[tuple, list[PermGroup]] = {}
 
     def is_new(H: PermGroup, orders: tuple) -> bool:
@@ -117,7 +124,6 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
 
     primes = prime_factors(G.order())     # every element order divides |G|
     trivial = PermGroup.trivial(G.degree)
-    is_new(trivial, (1,))
     # each node travels with its sorted element orders, its multiset key
     queue = deque([(trivial, (1,))])
     carter_reps = []
@@ -129,9 +135,6 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             continue
         if H.is_trivial():
             # first layer: G's classes of elements of prime order p
-            if G.order() > search.CLASS_ENUMERATION_CAP:
-                raise CapExceeded(
-                    f"|G| = {G.order()} exceeds class enumeration cap")
             if G.order() < SYLOW_SEED_ORDER:
                 stream = G.elements()
             else:
@@ -142,9 +145,6 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
                 G, stream, lambda y: y.order() in primes))
             steps = [(x, x.order()) for _, x in classes]
         else:
-            if N.order() > _CANDIDATE_ENUM_CAP:
-                raise CapExceeded(
-                    f"normalizer order {N.order()} exceeds enumeration cap")
             steps = _prime_order_candidates(N, H)
         for x, p in steps:
             # xH has order p in N/H, so |<H, x>| = |H| p

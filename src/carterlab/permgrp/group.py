@@ -26,7 +26,7 @@ at the first input point not yet seen; callers take ``min`` of an orbit.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from operator import mul
 
@@ -125,7 +125,6 @@ class PermGroup:
         self._levels: list[_Level] = []
         self._base_hint = tuple(base_hint) if base_hint is not None else ()
         self._order = None
-        self._walk_generators = None
         self._schreier_sims(_known_order)
 
     # -- construction ------------------------------------------------
@@ -243,29 +242,21 @@ class PermGroup:
     def base(self) -> tuple:
         return tuple(lv.beta for lv in self._levels)
 
-    @property
+    @cached_property
     def walk_generators(self) -> tuple:
         """A short generating set for orbit walks, derived once per group.
 
         With generators g_1..g_m, m > 2, try in order the pairs (g_i, the
-        product of the others in order) for i = 1..m, then (g_1...g_m,
-        g_i) for i = 1..m, then (g_i, g_j) for i < j, and take the first
-        pair that generates the whole group; else use all m generators.
-        Deterministic, so every walk sees the same set; cached on first
-        use, without a lock.
+        product of the others in order) for i = 1..m, then (g_i, g_j) for
+        i < j, and take the first pair that generates the whole group;
+        else use all m generators.  Deterministic, so every walk sees the
+        same set.
         """
-        if self._walk_generators is None:
-            self._walk_generators = self._short_generators()
-        return self._walk_generators
-
-    def _short_generators(self) -> tuple:
         gens = self.generators
         if len(gens) <= 2:
             return gens
-        whole = reduce(mul, gens)
         pairs = chain(((g, reduce(mul, gens[:i] + gens[i + 1:]))
                        for i, g in enumerate(gens)),
-                      ((whole, g) for g in gens),
                       combinations(gens, 2))
         n_orbits = len(self.natural_orbits())
         for pair in pairs:

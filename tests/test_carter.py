@@ -245,6 +245,45 @@ def test_search_cap():
         carter_subgroups(G, cap=10_000)
 
 
+def test_closure_cap(monkeypatch):
+    """Lowering ``CLOSURE_CAP`` below |Sym(4)| = 24 stops the closure."""
+    gens = PermGroup.symmetric(4).generators
+    monkeypatch.setattr(bruteforce, "CLOSURE_CAP", 24)
+    assert closure_order(gens, 4) == 24
+    monkeypatch.setattr(bruteforce, "CLOSURE_CAP", 23)
+    with pytest.raises(CapExceeded, match="^closure larger than 23$"):
+        closure_order(gens, 4)
+
+
+def test_scan_cap(monkeypatch):
+    """Every full-group scan checks |G| against ``SCAN_CAP`` first."""
+    G = PermGroup.symmetric(4)
+    H = PermGroup.trivial(4)
+    x = G.generators[0]
+    scans = [lambda: brute_normalizer(G, H), lambda: brute_centralizer(G, x),
+             lambda: bruteforce.brute_conjugator(G, x, x),
+             lambda: brute_subgroup_conjugator(G, H, H)]
+    monkeypatch.setattr(bruteforce, "SCAN_CAP", 24)
+    for scan in scans:
+        scan()
+    monkeypatch.setattr(bruteforce, "SCAN_CAP", 23)
+    for scan in scans:
+        with pytest.raises(CapExceeded, match=r"^\|G\| = 24 > 23$"):
+            scan()
+
+
+def test_lattice_cap(monkeypatch):
+    """The subgroup-lattice walks check |G| against ``LATTICE_CAP`` first."""
+    G = PermGroup.symmetric(4)
+    monkeypatch.setattr(bruteforce, "LATTICE_CAP", 24)
+    assert len(all_subgroups(G)) == 30
+    assert [R.order() for R in brute_carter_classes(G)] == [8]
+    monkeypatch.setattr(bruteforce, "LATTICE_CAP", 23)
+    for walk in (all_subgroups, brute_carter_classes):
+        with pytest.raises(CapExceeded, match=r"^\|G\| = 24 > 23$"):
+            walk(G)
+
+
 def test_criterion_examples(groups):
     assert check_syl2_criterion(groups["PSL(2,7)"]) is True
     assert check_syl2_criterion(PermGroup.alternating(3)) is True   # odd order: S = 1
@@ -462,6 +501,25 @@ def test_flagship_like_search_chain_build_count(monkeypatch):
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
     assert builds[0] <= 164
+
+
+def test_sym6_search_chain_build_count(monkeypatch):
+    """A perf gate that does not depend on the machine: chain builds of
+    the ``Sym(6)`` search, walk-generator derivations included (735 when
+    the walk-pair rule also tried (g_1...g_m, g_i)); it is deterministic.
+    """
+    G = PermGroup.symmetric(6)
+    builds = [0]
+    init = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [16]
+    assert builds[0] <= 672
 
 
 def test_partition_walk_count(monkeypatch):

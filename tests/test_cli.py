@@ -141,9 +141,11 @@ def test_carter_beyond_class_cap_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "carter", "Sym(5)")
     assert code == 3 and "cap" in err
 
-    # a first layer streamed from Sylow subgroups checks the cap first
-    def refuse(G, p):
-        raise AssertionError("a Sylow subgroup was built")
+    # the cap is checked once, before any node is expanded: no normalizer
+    # is computed and no Sylow subgroup is built for a first layer
+    def refuse(*args):
+        raise AssertionError("the search began")
+    monkeypatch.setattr(carter, "subgroup_normalizer", refuse)
     monkeypatch.setattr(carter, "SYLOW_SEED_ORDER", 1)
     monkeypatch.setattr(carter, "sylow_subgroup", refuse)
     code, _, err = run_cli(capsys, "carter", "Sym(5)")
@@ -418,6 +420,17 @@ def test_graph_automorphism_in_dimension_two_exits_2_before_any_chain(
     assert code == 2 and out == ""
     assert err.startswith("error: ")
     assert err.endswith(": graph automorphism needs dimension >= 3\n")
+
+
+@pytest.mark.parametrize("family", ["SL", "GL"])
+def test_graph_automorphism_of_a_linear_group_exits_2_before_any_chain(
+        capsys, monkeypatch, family):
+    """A linear group acts on vectors, which has no hyperplane block."""
+    _no_group_is_built(monkeypatch)
+    code, out, err = run_cli(capsys, "group", "info", f"Ext({family}(3,2), graph)")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {family}(3,2): "
+                   "hyperplane block requires the projective domain\n")
 
 
 def test_large_q_is_rejected_before_it_is_factored(capsys, monkeypatch):
