@@ -106,9 +106,11 @@ def _field_basis(F: FiniteField) -> list[int]:
     return [F.exp[i] for i in range(F.k)]
 
 
-def _elementary(F: FiniteField, n: int, i: int, j: int, t: int) -> Matrix:
+def _identity_with(F: FiniteField, n: int, entries: dict) -> Matrix:
+    """The n x n identity with each (i, j) entry of ``entries`` set."""
     rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[i][j] = F.add(rows[i][j], t)
+    for (i, j), t in entries.items():
+        rows[i][j] = t
     return Matrix(F, rows)
 
 
@@ -119,16 +121,14 @@ def sl_generators(F: FiniteField, n: int) -> list[Matrix]:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    gens.append(_elementary(F, n, i, j, t))
+                    gens.append(_identity_with(F, n, {(i, j): t}))
     return gens
 
 
 def gl_generators(F: FiniteField, n: int) -> list[Matrix]:
     gens = sl_generators(F, n)
     if F.size > 2:
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[0][0] = F.generator
-        gens.append(Matrix(F, rows))
+        gens.append(_identity_with(F, n, {(0, 0): F.generator}))
     return gens
 
 
@@ -141,7 +141,7 @@ def long_root_element(n: int, q: int, i: int, t: int) -> Matrix:
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
     F = ClassicalGroupSpec("Sp", 2 * n, q).field
-    return _elementary(F, 2 * n, i - 1, 2 * n - i, t)
+    return _identity_with(F, 2 * n, {(i - 1, 2 * n - i): t})
 
 
 def sp_generators(F: FiniteField, n2: int) -> list[Matrix]:
@@ -158,27 +158,21 @@ def sp_generators(F: FiniteField, n2: int) -> list[Matrix]:
         nt = F.neg(t)
         for i in range(n):
             # long roots +-2e_i
-            gens.append(_elementary(F, n2, i, pair(i), t))
-            gens.append(_elementary(F, n2, pair(i), i, t))
+            gens.append(_identity_with(F, n2, {(i, pair(i)): t}))
+            gens.append(_identity_with(F, n2, {(pair(i), i): t}))
             for j in range(n):
                 if i == j:
                     continue
                 # e_i - e_j : b_j -> b_j + t b_i, b_{i'} -> b_{i'} - t b_{j'}
-                rows = [[1 if a == b else 0 for b in range(n2)] for a in range(n2)]
-                rows[i][j] = t
-                rows[pair(j)][pair(i)] = nt
-                gens.append(Matrix(F, rows))
+                gens.append(_identity_with(
+                    F, n2, {(i, j): t, (pair(j), pair(i)): nt}))
                 if i < j:
                     # e_i + e_j : b_{j'} -> b_{j'} + t b_i, b_{i'} -> b_{i'} + t b_j
-                    rows = [[1 if a == b else 0 for b in range(n2)] for a in range(n2)]
-                    rows[i][pair(j)] = t
-                    rows[j][pair(i)] = t
-                    gens.append(Matrix(F, rows))
+                    gens.append(_identity_with(
+                        F, n2, {(i, pair(j)): t, (j, pair(i)): t}))
                     # -(e_i + e_j)
-                    rows = [[1 if a == b else 0 for b in range(n2)] for a in range(n2)]
-                    rows[pair(j)][i] = t
-                    rows[pair(i)][j] = t
-                    gens.append(Matrix(F, rows))
+                    gens.append(_identity_with(
+                        F, n2, {(pair(j), i): t, (pair(i), j): t}))
     return gens
 
 

@@ -24,13 +24,12 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from ..errors import CapExceeded
+from ..permgrp import io as permio
 from ..permgrp.perm import Perm
 from ..permgrp.group import PermGroup
 from .classical import ClassicalGroupSpec, classical_group
 from .gf import FiniteField
 from .matrix import Matrix
-
-DOMAIN_CAP = 10_000
 
 
 def _normalize(F: FiniteField, v: tuple) -> tuple:
@@ -72,8 +71,8 @@ class ProjectiveAction:
         F, n = self.spec.field, self.spec.n
         size = (F.size ** n - 1) // (1 if self.linear else F.size - 1)
         size *= 2 if self.include_hyperplanes else 1
-        if size > DOMAIN_CAP:
-            raise CapExceeded(f"domain size {size} exceeds {DOMAIN_CAP}")
+        if size > permio.DEGREE_CAP:
+            raise CapExceeded(f"domain size {size} exceeds {permio.DEGREE_CAP}")
         self.points = nonzero_vectors(F, n) if self.linear else projective_points(F, n)
         self._index = {v: i for i, v in enumerate(self.points)}
 

@@ -12,7 +12,7 @@ from ..errors import CapExceeded, InputError
 from .perm import Perm
 from .group import PermGroup
 
-DEGREE_CAP = 10_000     # the bound of linear.projective.DOMAIN_CAP
+DEGREE_CAP = 10_000     # the most points of any domain: files, Sym, Alt, projective
 
 
 def group_to_json(G: PermGroup) -> str:

@@ -211,17 +211,13 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
         return None
     if H1.is_subgroup_of(H2):       # the orders are equal
         return Perm.identity(G.degree)
-    # any conjugator maps part1 onto part2; after g does, the rest of
-    # the search lies in Stab_G(part2)
-    part1, part2 = _orbit_partition(H1), _orbit_partition(H2)
-    if part1 == part2:
-        g, fp1 = Perm.identity(G.degree), _fingerprint(H1)
-    else:
-        g = _orbit_search(G, part1, _move_partition, part2)
-        if g is None:
-            return None
-        fp1 = _conj_fingerprint(_fingerprint(H1), g)
-    fp2 = _fingerprint(H2)
+    # any conjugator maps H1's orbit partition onto H2's; after g does,
+    # the rest of the search lies in the stabilizer of H2's partition
+    g = _orbit_search(G, _orbit_partition(H1), _move_partition,
+                      _orbit_partition(H2))
+    if g is None:
+        return None
+    fp1, fp2 = _conj_fingerprint(_fingerprint(H1), g), _fingerprint(H2)
     if fp1 == fp2:
         return g
     K2 = _partition_stabilizer(G, H2)

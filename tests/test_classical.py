@@ -96,6 +96,14 @@ def test_lie_orders():
         lie_order("E", 6, 2)
 
 
+def test_twisted_lie_orders_beyond_rank_2():
+    from carterlab.linear.groupspec import realize
+    # PSU(4,2) is isomorphic to PSp(4,3)
+    assert (lie_order("A", 3, 2, twisted=True, projective=True)
+            == realize("PSp(4,3)").group.order() == 25_920)
+    assert lie_order("A", 3, 3, twisted=True, projective=True) == 3_265_920  # U4(3)
+
+
 def test_unsupported_specs_rejected():
     with pytest.raises(ValueError):
         ClassicalGroupSpec("Sp", 3, 3)

@@ -327,10 +327,10 @@ def test_torus_beyond_class_cap_exits_3(capsys, monkeypatch):
 
 
 def test_every_cap_exits_3(capsys, monkeypatch):
-    from carterlab.linear import projective
+    from carterlab.permgrp import io
     code, out, err = run_cli(capsys, "carter", "Sym(5)", "--cap", "100")
     assert (code, out) == (3, "") and "full-search cap 100" in err
-    monkeypatch.setattr(projective, "DOMAIN_CAP", 5)     # PSL(2,7) acts on 8 points
+    monkeypatch.setattr(io, "DEGREE_CAP", 5)     # PSL(2,7) acts on 8 points
     code, _, err = run_cli(capsys, "group", "info", "PSL(2,7)")
     assert code == 3 and "cap" in err
 

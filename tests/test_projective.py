@@ -24,7 +24,7 @@ def test_points_are_the_sorted_vectors_with_a_leading_one():
 
 def test_projective_points_are_built_without_the_vectors():
     # P^1(GF(1021)) has 1022 points but F^2 has 1,042,441 vectors: listing
-    # the vectors first would cost tens of MB here, and GB near DOMAIN_CAP
+    # the vectors first would cost tens of MB here, and GB near DEGREE_CAP
     F = field_make(1021, 1)
     tracemalloc.start()
     try:

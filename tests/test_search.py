@@ -354,6 +354,29 @@ def test_subgroup_conjugacy():
     assert are_conjugate_subgroups(G, H1, H3) is None
 
 
+def test_subgroups_of_unequal_orders_are_refused_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked")
+    monkeypatch.setattr(search, "_orbit_search", no_walk)
+    # one orbit each, and H1 < H2: only the orders tell them apart
+    H1 = PermGroup([cyc(4, (0, 1, 2, 3))], 4)
+    H2 = PermGroup([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 2))], 4)
+    assert H1.orbit_signature() == H2.orbit_signature()
+    assert are_conjugate_subgroups(S(4), H1, H2) is None
+
+
+def test_subgroups_with_equal_orbit_partitions_are_conjugated():
+    """<(0 1 2 3)> and <(0 2 1 3)> have the one orbit {0..3}, so the
+    partition search starts at its target and only the fingerprint walk
+    moves."""
+    H1 = PermGroup([cyc(4, (0, 1, 2, 3))], 4)
+    H2 = PermGroup([cyc(4, (0, 2, 1, 3))], 4)
+    assert search._orbit_partition(H1) == search._orbit_partition(H2)
+    g = are_conjugate_subgroups(S(4), H1, H2)
+    assert PermGroup([h.conjugate(g) for h in H1.generators], 4).same_group_as(H2)
+    assert g == cyc(4, (0, 3, 1))
+
+
 def test_sylow_subgroups_are_conjugate():
     from carterlab.permgrp.sylow import sylow_subgroup
     G = S(3)
@@ -386,6 +409,13 @@ def test_classes_of_groups_with_a_one_point_base():
         assert len(G.base) == 1
         swap = next(g for g in G.elements() if not g.is_identity())
         assert conjugacy_classes(G) == [(G.identity(), 1), (swap, 1)]
+
+
+def test_class_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(search, "CLASS_ENUMERATION_CAP", 23)    # |Sym(4)| = 24
+    with pytest.raises(CapExceeded) as err:
+        conjugacy_classes(S(4))
+    assert str(err.value) == "|G| = 24 exceeds class enumeration cap"
 
 
 def test_class_sizes_sum_and_reps_canonical(corpus):
