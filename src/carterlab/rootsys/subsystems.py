@@ -3,15 +3,25 @@
 Starting from the fundamental basis, each pass may either drop a node
 or extend one irreducible component by its lowest root before dropping
 a node of the extension.  Every root subsystem arises this way.
-Subsystems are deduplicated by Weyl-orbit of their root sets (not by
-type label, which cannot tell a long A1 from a short one).  Each class's
-orbit is walked once and remembered, so a candidate met before costs one
-set lookup.  Component types are read from root counts.
+
+Subsystems are deduplicated by Weyl orbit of their root sets (not by
+type label, which cannot tell a long A1 from a short one).  A root set
+is a set of root ids, positions in ``system.roots`` (|Phi| <= 240, so
+an id is a byte).  A candidate's set is the closure of its basis ids
+under their reflections, read from the Weyl group's table of root
+reflections.  Each class's orbit is walked once: the walk moves a
+|Phi|-byte 0/1 mask by each simple reflection in one ``bytes.maketrans``
+call, and ``seen`` remembers every set met as its sorted ids in bytes,
+so a candidate met before costs one set lookup.  Coordinates only build
+candidates (a component's lowest root comes from its coordinate
+closure) and name the kept classes: component types are read from root
+counts and norms, and a class's roots from its ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from ..permgrp.group import orbit, orbits
 from .roots import RootSystem, _dot, reflection_closure
@@ -38,12 +48,6 @@ def _components(basis) -> list[list[tuple]]:
             for comp in orbits(indices, indices, step)]
 
 
-def _subsystem_roots(system: RootSystem, basis) -> frozenset:
-    roots = frozenset(reflection_closure(basis))
-    assert roots <= set(system.roots)
-    return roots
-
-
 def _highest_in_component(comp_basis) -> tuple:
     coords = reflection_closure(comp_basis)
     return max(coords, key=lambda r: sum(coords[r]))
@@ -56,7 +60,9 @@ def classify_component(system: RootSystem, comp_basis) -> str:
     components whose longest root is shorter than the parent system's.
     """
     rank = len(comp_basis)
-    norms = [_dot(r, r) for r in reflection_closure(comp_basis)]
+    roots = system.roots
+    ids = weyl_group(system).root_closure([system.index[r] for r in comp_basis])
+    norms = [_dot(roots[i], roots[i]) for i in ids]
     longest = max(norms)
     short = sum(n < longest for n in norms)
     if not short:
@@ -69,7 +75,8 @@ def classify_component(system: RootSystem, comp_basis) -> str:
     else:
         kind = "B" if rank > 2 and short == 2 * rank else "C"
     label = f"{kind}{rank}"
-    if longest < max(system.norms()):
+    # every root is Weyl-conjugate to a fundamental one
+    if longest < max(_dot(r, r) for r in system.simples):
         label += "~"
     return label
 
@@ -83,22 +90,32 @@ def subsystem_label(system: RootSystem, basis) -> str:
 def borel_de_siebenthal(system: RootSystem) -> list[Subsystem]:
     """All nonempty root subsystems up to Weyl conjugacy.
 
-    Root-id sets are sorted index bytes (|Phi| <= 240), which compare
-    like index tuples; each class is keyed by the least set in its orbit.
+    Root sets are sets of root ids.  ``seen`` holds every set met, with
+    its whole Weyl orbit, as sorted id bytes (|Phi| <= 240), which
+    compare like id tuples; each class is keyed by the least set in its
+    orbit.  The orbit walk itself moves 0/1 masks, one byte per root, and
+    only the sorted ids of each mask are kept.
     """
-    reflections = weyl_group(system).simple_reflections
+    W = weyl_group(system)
     index = system.index
-    seen = set()        # every root-id set met, with its whole Weyl orbit
-    classes = {}        # least orbit member -> first basis found
+    n = len(system.roots)
+    seen = set()        # sorted id bytes of every set met, whole orbits
+    classes = {}        # least orbit member -> (first basis found, its ids)
 
     def is_new(basis) -> bool:
-        ids = bytes(sorted(index[r] for r in _subsystem_roots(system, basis)))
-        if ids in seen:
+        ids = W.root_closure([index[r] for r in basis])
+        if bytes(sorted(ids)) in seen:
             return False
-        found = orbit([ids], reflections,
-                      lambda ids, s: bytes(sorted(s[i] for i in ids)))
+        mask = bytearray(n)
+        for i in ids:
+            mask[i] = 1
+        # maketrans(s, mask) puts mask[i] at s[i]: the set moved by s
+        masks = orbit([bytes(mask)], W.simple_reflections,
+                      lambda m, s: bytes.maketrans(s, m)[:n])
+        found = [bytes(compress(range(n), m)) for m in masks]
+        del masks       # |Phi| bytes each; only the sorted ids are kept
         seen.update(found)
-        classes[min(found)] = basis
+        classes[min(found)] = basis, ids
         return True
 
     start = tuple(system.simples)
@@ -119,11 +136,11 @@ def borel_de_siebenthal(system: RootSystem) -> list[Subsystem]:
 
     out = []
     for key in sorted(classes):
-        basis = classes[key]
+        basis, ids = classes[key]
         out.append(Subsystem(
             label=subsystem_label(system, basis),
             basis=tuple(basis),
-            roots=_subsystem_roots(system, basis),
+            roots=frozenset(system.roots[i] for i in ids),
         ))
     out.sort(key=lambda s: (len(s.roots), s.label))
     return out

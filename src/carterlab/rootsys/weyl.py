@@ -16,12 +16,13 @@ basis-independent, so the fundamental-root basis is as good as any.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 
 from ..errors import CapExceeded, InputError
 from ..permgrp.perm import Perm
-from ..permgrp.group import PermGroup
+from ..permgrp.group import PermGroup, orbit
 from ..permgrp.search import class_orbits
 from .roots import RootSystem, pairing
 
@@ -36,6 +37,31 @@ class WeylGroupRep:
 
     def order(self) -> int:
         return self.perm_group.order()
+
+    @functools.cached_property
+    def root_reflections(self) -> tuple:
+        """The reflection s_r as a permutation of root ids, for every root
+        r, listed by r's id.  s_{s(b)} = s s_b s for a simple reflection
+        s, so the table grows out from the simple roots, one conjugate per
+        other root."""
+        index = self.system.index
+        table = [None] * len(self.system.roots)
+        reached = []
+        for alpha, s in zip(self.system.simples, self.simple_reflections):
+            table[index[alpha]] = s
+            reached.append(index[alpha])
+        for b in reached:           # the list grows while it is walked
+            for s in self.simple_reflections:
+                if table[s[b]] is None:
+                    table[s[b]] = table[b].conjugate(s)
+                    reached.append(s[b])
+        return tuple(table)
+
+    def root_closure(self, ids) -> list:
+        """The root ids of the subsystem whose fundamental roots have ids
+        ``ids``: their orbit under their own reflections."""
+        table = self.root_reflections
+        return orbit(ids, [table[i] for i in ids], lambda i, s: s[i])
 
     def root_image(self, w: Perm, r: tuple) -> tuple:
         return self.system.roots[w[self.system.index[r]]]

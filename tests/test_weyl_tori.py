@@ -66,6 +66,20 @@ def test_reflection_formula_everywhere():
                 assert W.root_image(s, r) == system.reflect(r, alpha)
 
 
+@pytest.mark.parametrize("name", ["A7", "B7", "C7", "D7", "E6", "E7", "F4", "G2"])
+def test_root_reflections_are_the_reflections(name):
+    """The table conjugated out from the simple reflections sends every
+    root id where the coordinate formula s_r(x) = x - <x,r> r does."""
+    system = root_system(name[0], int(name[1:]))
+    table = weyl_group(system).root_reflections
+    index = system.index
+    assert len(table) == len(system.roots)
+    for r in system.roots:
+        s_r = table[index[r]]
+        for x in system.roots:
+            assert s_r[index[x]] == index[system.reflect(x, r)]
+
+
 def test_lattice_matrix_of_identity():
     W = weyl_group(root_system("C", 3))
     ident = W.perm_group.identity()
@@ -312,6 +326,42 @@ def test_subsystem_orbit_walk_count(monkeypatch, name, walks, points):
     subs = borel_de_siebenthal(root_system(name[0], int(name[1:])))
     assert len(subs) == walks
     assert (len(sizes), sum(sizes)) == (walks, points)
+
+
+def test_subsystem_coordinate_closure_count(monkeypatch):
+    """A perf gate that does not depend on the machine.  Candidate root
+    sets are closed on root ids, and a kept class's roots are read from
+    its ids, so on E6 only the 39 components of the 20 kept classes
+    rebuild roots from coordinates, for their highest roots.  Closing
+    every candidate from coordinates made 260 closures."""
+    calls = []
+    closure = subsystems.reflection_closure
+
+    def counting(basis):
+        calls.append(len(basis))
+        return closure(basis)
+
+    monkeypatch.setattr(subsystems, "reflection_closure", counting)
+    assert len(borel_de_siebenthal(root_system("E", 6))) == 20
+    assert len(calls) == 39
+
+
+def test_subsystem_memory():
+    """A memory gate for the orbit walks: ``seen`` keeps each root-id set
+    as its sorted ids, one byte per root of the set, not as the
+    |Phi|-byte mask the walk moves.  E7's enumeration peaks at 10.4 MB
+    under tracemalloc; keeping the masks in ``seen`` took it to 21.5 MB."""
+    import tracemalloc
+    system = root_system("E", 7)
+    weyl_group(system).root_reflections   # built once per system, before the gate
+    tracemalloc.start()
+    try:
+        subs = borel_de_siebenthal(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == SUBSYSTEM_PINS["E7"][0]
+    assert peak < 12_000_000, peak
 
 
 @pytest.mark.parametrize("spec,classes,offenders", [
