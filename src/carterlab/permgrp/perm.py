@@ -15,6 +15,13 @@ translation table that maps i to ``b[i]`` for i < n:
 - division: ``a.translate(bytes.maketrans(b, _ID[:n]))`` is ``a * b⁻¹``;
 - conjugate: ``bytes.maketrans(g, x.translate(g + _ID[n:]))`` has
   ``g[x[i]]`` at ``g[i]``, which is where ``g⁻¹xg`` has it;
+- conjugation kernel: with ``g_inv`` g's inverse and ``g_table`` its
+  table, both made once per g, ``g_inv.translate(x + _ID[n:])`` has
+  ``x[g⁻¹[i]]`` at i, and a ``translate`` through ``g_table`` then
+  gives ``g⁻¹xg``.  The bulk conjugations use it: a class walk
+  (``_conjugation_orbit``) pads each member once for all generators,
+  and a fingerprint image (``_conjugate_all``) conjugates every element
+  of a set by one g;
 - order: ``y.translate(x + _ID[n:])`` steps y = x^k to x^(k+1), from
   x until y is the identity; an order above n, which takes more than n
   steps, is the lcm of the cycle lengths instead.
@@ -24,7 +31,12 @@ permutation.  Bytes compare lexicographically, as tuples of ints below
 256 do, so ``min``, ``sorted`` and least class members are the same
 permutations in either form.  A bytes object caches its hash, but the
 hash is salted per process, so no output may depend on the iteration
-order of a set of permutations.
+order of a set of permutations.  A ``Perm`` and a plain ``bytes`` with
+the same images compare and hash equal, so the kernel's walks hold
+plain bytes: a class walk wraps its members as ``Perm``s when it is
+done, and a fingerprint image stays a frozenset of plain bytes, equal to
+the frozenset of their ``Perm``s.  Its elements are keys, never handed
+to a caller as permutations.
 
 A partition of the points is a label vector, entry p the least point of
 p's cell, kept in its permutations' layout: ``_label_vector`` builds one
@@ -38,7 +50,8 @@ A byte holds no image above 255.  A permutation of larger degree is a
 Python loops and ``operator.itemgetter`` gathers.  ``Perm(images)``
 returns whichever class fits the degree, ``PERM_TYPES`` names both for
 ``isinstance``, and an orbit walk acts by ``type(x).conjugate``, which
-fits either.  ``NARROW_DEGREE`` is a module constant that tests
+fits either; the wide class's class walk and fingerprint image call it
+too.  ``NARROW_DEGREE`` is a module constant that tests
 lower to send every permutation of degree 2 or more through the wide
 class; it must stay at least 1, because ``itemgetter`` over fewer than
 two images returns no tuple.
@@ -147,6 +160,15 @@ class _PermMethods:
     def __repr__(self) -> str:
         return f"Perm[{self.degree}]{self}"
 
+    def _conjugation_orbit(self, gens) -> list:
+        """Self's orbit under conjugation by ``gens``, breadth-first."""
+        from .group import orbit    # group imports this module
+        return orbit([self], gens, type(self).conjugate)
+
+    def _conjugate_all(self, xs) -> frozenset:
+        """The conjugates x^self of the permutations ``xs``."""
+        return frozenset(x.conjugate(self) for x in xs)
+
 
 class Perm(_PermMethods, bytes):
     """An immutable permutation; subclasses bytes, so it hashes and sorts.
@@ -188,6 +210,34 @@ class Perm(_PermMethods, bytes):
                 return k
             y = y.translate(table)
         return math.lcm(*self._cycle_lengths())
+
+    def _conjugation_orbit(self, gens) -> list:
+        """Self's orbit under conjugation by ``gens``, in the order of
+        ``group.orbit([self], gens, Perm.conjugate)``.  The walk holds
+        plain bytes, which equal and hash as their ``Perm``s do, and wraps
+        each member in place once it is done."""
+        n = len(self)
+        pad = _ID[n:]
+        steps = [(bytes.maketrans(g, _ID[:n])[:n], g + pad) for g in gens]
+        points, seen = [self], {self}
+        for x in points:            # the list grows while it is walked
+            table = x + pad
+            for g_inv, g_table in steps:
+                image = g_inv.translate(table).translate(g_table)
+                if image not in seen:
+                    seen.add(image)
+                    points.append(image)
+        del seen                    # frees each byte string as it is wrapped
+        for i in range(1, len(points)):
+            points[i] = bytes.__new__(Perm, points[i])
+        return points
+
+    def _conjugate_all(self, xs) -> frozenset:
+        """The conjugates x^self of the permutations ``xs``, as plain bytes."""
+        n = len(self)
+        pad = _ID[n:]
+        g_inv, g_table = bytes.maketrans(self, _ID[:n])[:n], self + pad
+        return frozenset(g_inv.translate(x + pad).translate(g_table) for x in xs)
 
     @staticmethod
     def _label_vector(labels) -> bytes:

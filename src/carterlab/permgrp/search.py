@@ -36,8 +36,17 @@ every result (including returned conjugators) is deterministic.  No
 other result depends on which generators a walk uses: orbits,
 stabilizer orders and yes/no answers are the group's own, and class
 representatives are least members, taken with ``min``.  Walks that need
-no transversal (orbit partitions, classes) use ``group.orbits`` and
-``group.orbit``.
+no transversal use ``group.orbits`` (orbit partitions) and the
+permutation class's ``_conjugation_orbit`` (classes).
+
+Two walks conjugate in bulk, and run on the permutation module's
+conjugation kernel, which makes g's inverse and translation table once
+per generator: a class walk (``class_orbits``) and a fingerprint image
+(``_conj_fingerprint``), which conjugates every element of H by one g.  A
+fingerprint image is a frozenset of plain bytes, equal to the frozenset
+of their ``Perm``s; it is a walk point and a dict key, and none of its
+elements is returned.  Centralizer walks and element conjugacy tests
+conjugate one element per edge, through ``conjugate``.
 
 One class lister, ``class_orbits``, serves ``conjugacy_classes``, the
 Carter search's first layer and its extension candidates, and the
@@ -55,7 +64,7 @@ from operator import itemgetter
 
 from ..errors import CapExceeded
 from .perm import PERM_TYPES, Perm
-from .group import PermGroup, orbit, walk
+from .group import PermGroup, walk
 
 
 SUBGROUP_FINGERPRINT_CAP = 10_000
@@ -144,7 +153,7 @@ def _fingerprint(H: PermGroup) -> frozenset:
 
 
 def _conj_fingerprint(fp: frozenset, g: Perm) -> frozenset:
-    return frozenset(x.conjugate(g) for x in fp)
+    return g._conjugate_all(fp)
 
 
 def _orbit_partition(H: PermGroup):
@@ -260,7 +269,7 @@ def class_orbits(G: PermGroup, elements, keep=None):
     for y in elements:
         if key(y) in listed or (keep is not None and not keep(y)):
             continue
-        members = orbit([y], G.walk_generators, type(y).conjugate)
+        members = y._conjugation_orbit(G.walk_generators)
         listed.update(map(key, members))
         yield members
         if len(listed) == order:    # the whole coset is listed

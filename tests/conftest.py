@@ -8,11 +8,13 @@ order so exhaustive scans stay fast.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from carterlab.linear.groupspec import realize
 from carterlab.permgrp.group import PermGroup
+from carterlab.permgrp.perm import Perm
 from carterlab.verify import REGISTRY
 
 CORPUS_SPECS = [
@@ -30,6 +32,35 @@ CORPUS_SPECS = [
 @pytest.fixture(scope="session")
 def corpus():
     return {spec: realize(spec).group for spec in CORPUS_SPECS}
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """Counts the conjugations made on narrow permutations, by where they
+    are made: ``Perm.conjugate`` calls, class-walk edges (members times
+    generators) and fingerprint images (one per element)."""
+    counts = Counter()
+    conjugate = Perm.conjugate
+    walk = Perm._conjugation_orbit
+    images = Perm._conjugate_all
+
+    def counting_conjugate(self, g):
+        counts["conjugate"] += 1
+        return conjugate(self, g)
+
+    def counting_walk(self, gens):
+        members = walk(self, gens)
+        counts["class walk"] += len(members) * len(gens)
+        return members
+
+    def counting_images(self, xs):
+        counts["fingerprint"] += len(xs)
+        return images(self, xs)
+
+    monkeypatch.setattr(Perm, "conjugate", counting_conjugate)
+    monkeypatch.setattr(Perm, "_conjugation_orbit", counting_walk)
+    monkeypatch.setattr(Perm, "_conjugate_all", counting_images)
+    return counts
 
 
 def corpus_upto(corpus, cap):

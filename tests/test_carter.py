@@ -357,8 +357,9 @@ def test_prime_order_candidates_match_a_reference(corpus):
     assert cases >= 100, cases
 
 
-def test_flagship_like_search_conjugation_count(monkeypatch):
-    """A perf gate that does not depend on the machine: Perm.conjugate calls.
+def test_flagship_like_search_conjugation_count(conjugations):
+    """A perf gate that does not depend on the machine: conjugations, by
+    ``Perm.conjugate``, in class walks and in fingerprint images.
 
     The bound is the count the search makes with the normalizer and
     conjugacy walks refined by orbit partitions, a first layer that
@@ -368,17 +369,9 @@ def test_flagship_like_search_conjugation_count(monkeypatch):
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
-    calls = [0]
-    conjugate = Perm.conjugate
-
-    def counting(self, g):
-        calls[0] += 1
-        return conjugate(self, g)
-
-    monkeypatch.setattr(Perm, "conjugate", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert calls[0] <= 6_338
+    assert sum(conjugations.values()) <= 6_338
 
 
 def test_flagship_like_search_membership_count(monkeypatch):

@@ -11,8 +11,8 @@ import pytest
 
 import carterlab
 from carterlab.linear.groupspec import realize
-from carterlab.permgrp import perm
-from carterlab.permgrp.group import PermGroup
+from carterlab.permgrp import perm, search
+from carterlab.permgrp.group import PermGroup, orbit
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import quotient_group
 
@@ -106,6 +106,37 @@ def test_division_is_the_product_by_the_inverse(monkeypatch, n, narrow_degree):
         assert type(g) is type(q) is kind
         assert q == g * u.inverse() and q * u == g
         assert tuple(g / g) == tuple(range(n))
+
+
+@pytest.mark.parametrize("narrow_degree", [perm.NARROW_DEGREE, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 28, 72, 255, 256])
+def test_conjugation_walks_match_the_reference(monkeypatch, n, narrow_degree):
+    """The class walk and the fingerprint image against ``group.orbit``
+    and ``Perm.conjugate``, in either layout.  The generators move at
+    most six points, so each class has at most 720 members."""
+    monkeypatch.setattr(perm, "NARROW_DEGREE", narrow_degree)
+    kind = Perm if n <= narrow_degree else perm._WidePerm
+    rng = random.Random(n)
+    for _ in range(5):
+        moved = rng.sample(range(n), min(n, 6))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Perm(images))
+        x, g, h = (Perm(rng.sample(range(n), n)) for _ in range(3))
+        members = x._conjugation_orbit(gens)
+        assert members == orbit([x], gens, type(x).conjugate)
+        assert all(type(y) is kind for y in members)
+        fp = frozenset(members)
+        image = search._conj_fingerprint(fp, g)
+        expected = frozenset(y.conjugate(g) for y in fp)
+        assert image == expected and {expected: True}[image]
+        # a walk conjugates fingerprint images too, not only sets of Perms
+        again = search._conj_fingerprint(image, h)
+        expected = frozenset(y.conjugate(h) for y in expected)
+        assert again == expected and {expected: True}[again]
 
 
 def test_products_of_degree_below_two():

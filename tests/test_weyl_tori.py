@@ -384,28 +384,23 @@ def test_order3_scan_matches_brute_normalizers(spec, classes, offenders):
         assert normalizers[frozenset((x, x * x))] == 3
 
 
-def test_e6_scan_conjugation_count(monkeypatch):
-    """A perf gate that does not depend on the machine: Perm.conjugate calls.
+def test_e6_scan_conjugation_count(conjugations):
+    """A perf gate that does not depend on the machine: conjugations.
 
     The bound is the count the scan makes when each known-index
     centralizer stops its walk at |W| / |x^W| and every walk acts
     through the two walk generators; it is deterministic.  Walks through
     W(E6)'s six realized generators make 368,456, and then a walk that
-    covers every class again makes 625,340.
+    covers every class again makes 625,340.  The class walks' 2 |W|
+    conjugations run on byte tables; the centralizer walks call
+    ``Perm.conjugate``.
     """
-    calls = [0]
-    conjugate = Perm.conjugate
-
-    def counting(self, g):
-        calls[0] += 1
-        return conjugate(self, g)
-
-    monkeypatch.setattr(Perm, "conjugate", counting)
     results = e6_centralizer_scan()
     assert [r.order3_subgroup_classes for r in results] == [
         3, 2, 3, 5, 5, 1, 7, 1, 1, 1, 4, 3, 3, 3, 3, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
     assert all(r.passed for r in results)
-    assert calls[0] <= 109_361
+    assert sum(conjugations.values()) <= 109_361
+    assert conjugations["conjugate"] == 5_674
 
 
 def test_e6_scan_product_count(monkeypatch):
@@ -501,23 +496,15 @@ def test_e6_twisted_class_listing_memory(twist):
 
 
 @pytest.mark.parametrize("twist", [identity_twist, flip_twist])
-def test_e6_twisted_class_conjugation_count(monkeypatch, twist):
+def test_e6_twisted_class_conjugation_count(conjugations, twist):
     """A perf gate that does not depend on the machine: each coset
     element is walked once, through W(E6)'s two walk generators, so the
-    listing makes exactly 2 |W| conjugations."""
+    listing makes exactly 2 |W| conjugations, all in class walks."""
     system = root_system("E", 6)
     W, tau = weyl_group(system), twist(system)
     assert len(W.perm_group.walk_generators) == 2
-    calls = [0]
-    conjugate = Perm.conjugate
-
-    def counting(self, g):
-        calls[0] += 1
-        return conjugate(self, g)
-
-    monkeypatch.setattr(Perm, "conjugate", counting)
     f_conjugacy_classes(W, tau)
-    assert calls[0] == 2 * 51_840
+    assert sum(conjugations.values()) == conjugations["class walk"] == 2 * 51_840
 
 
 def words_breadth_first(W):
