@@ -18,10 +18,19 @@ ch. 4).  A bound below the true order gives a wrong chain: the build
 asserts only that the product never passes the bound, so callers pass
 one only where it is a theorem.
 
-Every orbit walk of the package lives here: ``walk`` grows a
-transversal (a chain level's, or a search's in ``search``), and
-``orbit`` and ``orbits`` walk without one.  ``orbits`` starts each orbit
-at the first input point not yet seen; callers take ``min`` of an orbit.
+Every orbit walk of the package lives here.  Two keep a transversal.
+A chain level's sifts divide by every element of its transversal, so
+the level holds them all; and when a generator is appended its orbit is
+already closed under the earlier ones, so ``_Level.extend_orbit``
+applies the new generator to the old points, and every generator only
+to the points found since.  That finds the points in the order a walk
+of the whole orbit finds them, reached by the same elements.  A search
+(in ``search``) reads few elements: a stabilizer harvest those at the
+ends of the edges it harvests, a conjugacy test the one at its target.
+So ``Walk`` keeps one parent link per point (a Schreier vector) and
+multiplies out an element only when it is read.  ``orbit`` and
+``orbits`` keep no transversal; ``orbits`` starts each orbit at the
+first input point not yet seen, and callers take ``min`` of an orbit.
 """
 
 from __future__ import annotations
@@ -33,27 +42,60 @@ from operator import mul
 from .perm import PERM_TYPES, Perm
 
 
-def walk(transversal: dict, gens, act):
-    """Grow ``transversal`` to the orbit of its points, breadth-first.
+class Walk:
+    """A breadth-first orbit walk that builds transversal elements on demand.
 
-    ``transversal`` maps each point to an element taking the walk's start
-    to it; ``act(point, g)`` applies generator g.  The points already in
-    the dict are expanded first, in order, then the new ones as they are
-    found, each through ``gens`` in their given order.  Every edge is
-    yielded as ``(u, s, image, known)``, where u is the point's element:
-    ``known`` is the element already recorded for ``image``, or None when
-    ``image`` is new, and the walk then records it as reached by ``u * s``.
+    ``Walk(start, identity)`` holds the orbit's points in discovery order
+    (``points``, position 0 the start) and, for every other point, one
+    parent link: the position of the point it was found from and the
+    generator that found it.  ``element(j)`` multiplies the generators
+    along point j's path from the start, keeping each element it builds,
+    so reading every point's element makes the products an eager
+    transversal makes, and reading few makes few.
     """
-    queue = list(transversal)
-    for point in queue:         # the list grows while it is walked
-        u = transversal[point]
-        for s in gens:
-            image = act(point, s)
-            known = transversal.get(image)
-            if known is None:
-                transversal[image] = u * s
-                queue.append(image)
-            yield u, s, image, known
+
+    __slots__ = ("points", "_position", "_links", "_elements")
+
+    def __init__(self, start, identity):
+        self.points = [start]
+        self._position = {start: 0}
+        self._links = [None]
+        self._elements = {0: identity}
+
+    def edges(self, gens, act):
+        """Walk the orbit to its end, breadth-first, and yield each edge.
+
+        ``act(point, g)`` applies generator g.  The points are expanded in
+        the order they were found, each through ``gens`` in their given
+        order.  An edge is yielded as ``(i, s, j, new)``: generator s takes
+        the point at position i to the one at position j, which this edge
+        found when ``new`` is true.
+        """
+        points, position, links = self.points, self._position, self._links
+        for i, point in enumerate(points):  # the list grows while it is walked
+            for s in gens:
+                image = act(point, s)
+                j = position.get(image)
+                if j is None:
+                    j = position[image] = len(points)
+                    points.append(image)
+                    links.append((i, s))
+                    yield i, s, j, True
+                else:
+                    yield i, s, j, False
+
+    def element(self, j):
+        """The transversal element taking the start to the point at
+        position j: the product of the generators on its path."""
+        elements, links = self._elements, self._links
+        path = []
+        while j not in elements:
+            path.append(j)
+            j = links[j][0]
+        u = elements[j]
+        for k in reversed(path):
+            u = elements[k] = u * links[k][1]
+        return u
 
 
 def orbit(seeds, gens, act) -> list:
@@ -102,9 +144,29 @@ class _Level:
         self.transversal = {beta: Perm.identity(degree)}
 
     def extend_orbit(self):
-        """Grow the orbit/transversal after new generators were added."""
-        for _ in walk(self.transversal, self.gens, _image):
-            pass
+        """Grow the orbit and transversal after a generator was appended.
+
+        The old points are closed under the earlier generators, so only
+        the new one can take them out of the orbit; it is applied to them
+        in order, then every generator to each point found, breadth-first.
+        A walk of the whole orbit finds the same points in the same order,
+        reached by the same elements.
+        """
+        transversal, gens = self.transversal, self.gens
+        new = gens[-1]
+        found = []
+        for p, u in list(transversal.items()):
+            q = new[p]
+            if q not in transversal:
+                transversal[q] = u * new
+                found.append(q)
+        for p in found:             # the list grows while it is walked
+            u = transversal[p]
+            for s in gens:
+                q = s[p]
+                if q not in transversal:
+                    transversal[q] = u * s
+                    found.append(q)
 
 
 class PermGroup:

@@ -2,9 +2,13 @@
 
 Everything here rides the same mechanism: act on a hashable object (an
 element by conjugation, the full element fingerprint of a subgroup, or
-a partition of the domain), walk the orbit with ``group.walk``, the
-transversal walk that also grows the stabilizer chain's levels, and
-harvest stabilizer generators through Schreier's lemma.  The whole
+a partition of the domain), walk the orbit with ``group.Walk``, and
+harvest stabilizer generators through Schreier's lemma.  The walk keeps
+one parent link per point and multiplies out a point's transversal
+element only when it is read: a harvest reads those at the ends of the
+edges it harvests, a conjugacy test the one at its target.  (A chain
+level's sifts divide by every element of its transversal, so the chain
+keeps its own loop in ``group``, and all of its elements.)  The whole
 orbit is walked first, so the stabilizer's order |G| / |orbit| is known
 before the harvest starts: Schreier generators are sifted into a
 growing subgroup, discarded when redundant, and the harvest stops as
@@ -64,7 +68,7 @@ from operator import itemgetter
 
 from ..errors import CapExceeded
 from .perm import PERM_TYPES, Perm
-from .group import PermGroup, walk
+from .group import PermGroup, Walk
 
 
 SUBGROUP_FINGERPRINT_CAP = 10_000
@@ -81,24 +85,23 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
     set, though its generators are not.  Without ``order`` the whole
     orbit is walked first.  Given ``order``, the stabilizer's order,
     each edge is harvested as the walk meets it, and the walk stops at
-    the edge that completes the stabilizer.
+    the edge that completes the stabilizer.  Only a harvested edge's
+    ends have their transversal elements built.
     """
-    transversal = {start: Perm.identity(G.degree)}
-    # non-tree edges as (u, s, known): keeping the transversal element
-    # rather than the fresh image keeps no second copy of an orbit point
-    edges = ((u, s, known) for u, s, _, known
-             in walk(transversal, G.walk_generators, act) if known is not None)
+    walk = Walk(start, Perm.identity(G.degree))
+    edges = ((i, s, j) for i, s, j, new
+             in walk.edges(G.walk_generators, act) if not new)
     if order is None:
         edges = list(edges)
         # a full walk builds the chain only now: built before the walk, it
         # fragments the heap, and the quick tier peaks 1 MB higher
-        order = G.order() // len(transversal)
+        order = G.order() // len(walk.points)
     # every group built here lies in the stabilizer, so the stabilizer's
     # order bounds theirs, and each chain build stops once it reaches it
     stab = PermGroup(seed_gens, G.degree, _known_order=order)
     if stab.order() < order:
-        for u, s, known in edges:
-            g = u * s / known
+        for i, s, j in edges:
+            g = walk.element(i) * s / walk.element(j)
             if not g.is_identity() and g not in stab:
                 stab = PermGroup(stab.generators + (g,), G.degree,
                                  _known_order=order)
@@ -114,14 +117,15 @@ def _orbit_search(G: PermGroup, start, act, target):
     """A g in G taking ``start`` to ``target`` under ``act``, or None.
 
     The identity when ``start == target``; otherwise the walk stops at
-    ``target``, and g is the transversal element that reaches it.
+    ``target``, and g is the transversal element that reaches it, the
+    only one built.
     """
     if start == target:
         return Perm.identity(G.degree)
-    transversal = {start: Perm.identity(G.degree)}
-    for _, _, image, known in walk(transversal, G.walk_generators, act):
-        if known is None and image == target:
-            return transversal[image]
+    walk = Walk(start, Perm.identity(G.degree))
+    for _, _, j, new in walk.edges(G.walk_generators, act):
+        if new and walk.points[j] == target:
+            return walk.element(j)
     return None
 
 

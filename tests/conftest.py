@@ -14,7 +14,7 @@ import pytest
 
 from carterlab.linear.groupspec import realize
 from carterlab.permgrp.group import PermGroup
-from carterlab.permgrp.perm import Perm
+from carterlab.permgrp.perm import PERM_TYPES, Perm
 from carterlab.verify import REGISTRY
 
 CORPUS_SPECS = [
@@ -60,6 +60,21 @@ def conjugations(monkeypatch):
     monkeypatch.setattr(Perm, "conjugate", counting_conjugate)
     monkeypatch.setattr(Perm, "_conjugation_orbit", counting_walk)
     monkeypatch.setattr(Perm, "_conjugate_all", counting_images)
+    return counts
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the products made, by layout: ``Perm.__mul__`` and
+    ``_WidePerm.__mul__`` calls.  Division and conjugation are not
+    products here."""
+    counts = Counter()
+    for cls in PERM_TYPES:
+        def counting(self, g, mul=cls.__mul__, name=cls.__name__):
+            counts[name] += 1
+            return mul(self, g)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
     return counts
 
 

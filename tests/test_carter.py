@@ -374,6 +374,25 @@ def test_flagship_like_search_conjugation_count(conjugations):
     assert sum(conjugations.values()) <= 6_338
 
 
+def test_flagship_search_product_count(products):
+    """A perf gate that does not depend on the machine: products made
+    by the ``Ext(PSL(2,27), frob)`` search, narrow and wide.
+
+    A chain level extends its orbit from the generator just added, and
+    a search walk multiplies out only the transversal elements its
+    harvest or its answer reads (55,137 when every level re-walked its
+    orbit after each new generator and every walk multiplied out every
+    point's element); it is deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,27), frob)").group
+    G.walk_generators               # derived once per group, before the gate
+    products.clear()
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [81]
+    assert sum(products.values()) <= 38_108
+
+
 def test_flagship_like_search_membership_count(monkeypatch):
     """A perf gate that does not depend on the machine: membership tests.
 

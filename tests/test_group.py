@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -197,6 +198,61 @@ def test_known_order_below_the_true_order_fails(monkeypatch):
     for bound in (360, 240, 120, 24, 6, 1):
         with pytest.raises(AssertionError):
             PermGroup(S6.generators, 6, _known_order=bound)
+
+
+def _digest(chains) -> str:
+    """sha256 of chains as ``_chain`` gives them, permutations as tuples
+    of images, so narrow and wide layouts hash alike."""
+    h = hashlib.sha256()
+    for base, order, levels in chains:
+        h.update(repr((base, order, [
+            (beta, [(p, tuple(u)) for p, u in items], [tuple(g) for g in gens])
+            for beta, items, gens in levels])).encode())
+    return h.hexdigest()
+
+
+# Digests of the chains the Schreier-Sims build made before a chain
+# level extended its orbit from the generator just added rather than
+# re-walking it, taken then and pinned: base, order, and per level the
+# base point, the transversal in order and the generators.
+CHAIN_DIGESTS = {
+    "Sym(6)": "6f0f8c8bab729ee6fd00939a17f9323e562a5b9d0521436127a608c68f65d8e7",
+    "W(E6)": "369cba4f1e2d187dd4d2836a4fa2bf88aed34a9f11a1ec98c4559d8526ab8473",
+    "Ext(PSL(2,27), frob)":
+        "52c1d9a49249cfd06178e11c107ae0c8fc9af63fdb0bad9d1184e36a15e9f0a5",
+    "PSL(2,257)": "5624a3f7f15decbabca772b4c634c98876d35b866105a2a29202d30f2c822135",
+}
+SEARCH_CHAINS_DIGEST = (
+    "ca82295ebc14c6b6ffe791d85df43fee535452b60e29961105e88a459d2f708b")
+
+
+@pytest.mark.parametrize("spec", list(CHAIN_DIGESTS))
+def test_realized_chains_are_pinned(spec):
+    """The realized chain hashes as it did when each chain level
+    re-walked its whole orbit after every new generator."""
+    from carterlab.linear.groupspec import realize
+    G = realize(spec).group
+    assert _digest([_chain(G)]) == CHAIN_DIGESTS[spec], spec
+
+
+def test_search_chains_are_pinned(monkeypatch):
+    """Every chain built by the ``Ext(PSL(2,8), frob)`` Carter search,
+    the stabilizers its walks harvest and the walk-generator tests
+    included, in the order they are built."""
+    from carterlab.linear.groupspec import realize
+    from carterlab.permgrp.carter import carter_subgroups
+    realized = realize("Ext(PSL(2,8), frob)").group
+    G = PermGroup(realized.generators, realized.degree)
+    chains = []
+    init = PermGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        chains.append(_chain(self))
+
+    monkeypatch.setattr(PermGroup, "__init__", recording)
+    carter_subgroups(G)
+    assert _digest(chains) == SEARCH_CHAINS_DIGEST
 
 
 def test_wide_chain_keeps_one_permutation_per_orbit_point():

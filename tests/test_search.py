@@ -461,3 +461,91 @@ def test_walk_results_do_not_depend_on_the_walk_generators(monkeypatch):
     monkeypatch.setattr(PermGroup, "walk_generators",
                         property(lambda G: G.generators))
     assert results() == short
+
+
+# ------------------------------------------ the walk against an eager one
+
+def _eager_walk(transversal: dict, gens, act):
+    """The orbit walk that multiplies out every point's transversal
+    element as it finds the point; edges as ``(u, s, image, known)``."""
+    queue = list(transversal)
+    for point in queue:         # the list grows while it is walked
+        u = transversal[point]
+        for s in gens:
+            image = act(point, s)
+            known = transversal.get(image)
+            if known is None:
+                transversal[image] = u * s
+                queue.append(image)
+            yield u, s, image, known
+
+
+def _eager_stabilizer(G, start, act, seed_gens=(), order=None):
+    transversal = {start: Perm.identity(G.degree)}
+    edges = ((u, s, known) for u, s, _, known
+             in _eager_walk(transversal, G.walk_generators, act)
+             if known is not None)
+    if order is None:
+        edges = list(edges)
+        order = G.order() // len(transversal)
+    stab = PermGroup(seed_gens, G.degree, _known_order=order)
+    if stab.order() < order:
+        for u, s, known in edges:
+            g = u * s / known
+            if not g.is_identity() and g not in stab:
+                stab = PermGroup(stab.generators + (g,), G.degree,
+                                 _known_order=order)
+                if stab.order() == order:
+                    break
+    assert stab.order() == order
+    return stab
+
+
+def _eager_orbit_search(G, start, act, target):
+    if start == target:
+        return Perm.identity(G.degree)
+    transversal = {start: Perm.identity(G.degree)}
+    for _, _, image, known in _eager_walk(transversal, G.walk_generators, act):
+        if known is None and image == target:
+            return transversal[image]
+    return None
+
+
+def _same_walks(G, start, act, targets, seed_gens=(), order=None):
+    """The stabilizer's generators and the conjugators to ``targets``
+    agree with the eager walk's."""
+    assert (search._stabilizer(G, start, act, seed_gens, order).generators
+            == _eager_stabilizer(G, start, act, seed_gens, order).generators)
+    for target in targets:
+        assert (search._orbit_search(G, start, act, target)
+                == _eager_orbit_search(G, start, act, target))
+
+
+def test_walk_builds_the_elements_an_eager_transversal_builds(corpus):
+    """Stabilizer generators and conjugators of the walk that multiplies
+    out only the elements it reads, against the walk that multiplies out
+    every one, for the three actions: elements by conjugation, orbit
+    partitions and fingerprints.  Targets lie in the orbit but for the
+    last, which may not."""
+    conj, move = Perm.conjugate, search._move_partition
+    draws = 0
+    for spec, G, H, rng in random_subgroups(corpus, 18, 3):
+        x, y = H.generators[0], G.random_element(rng)
+        gs = [G.random_element(rng) for _ in range(2)]
+        _same_walks(G, x, conj, [x.conjugate(g) for g in gs] + [y])
+        _same_walks(G, x, conj, [], order=element_centralizer(G, x).order())
+
+        part = search._orbit_partition(H)
+        other = search._orbit_partition(PermGroup([y], G.degree))
+        _same_walks(G, part, move, [move(part, g) for g in gs] + [other],
+                    seed_gens=H.generators)
+
+        K = search._partition_stabilizer(G, H)
+        fp = search._fingerprint(H)
+        ks = [K.random_element(rng) for _ in range(2)]
+        fp_other = search._fingerprint(PermGroup([y], G.degree))
+        _same_walks(K, fp, search._conj_fingerprint,
+                    [search._conj_fingerprint(fp, k) for k in ks] + [fp_other],
+                    seed_gens=H.generators)
+        draws += 1
+    assert draws >= 60, draws
