@@ -9,7 +9,7 @@ because a proper subgroup of a nilpotent K never equals its normalizer
 in K, so K grows from the trivial subgroup through such prime steps.
 Self-normalizing nodes are exactly the Carter classes.
 
-Five economies keep this desk-sized.  Extension candidates are taken
+Six economies keep this desk-sized.  Extension candidates are taken
 up to N_G(H)-conjugacy (conjugate candidates give G-conjugate
 extensions, since they fix H).  Both the first layer, G's classes of
 prime-order elements, and the candidates of later layers are listed by
@@ -25,7 +25,12 @@ saves.  An extension K = <H, x> is built knowing its order |H| p, where
 p is the prime order of xH, so its chain build stops once complete.
 K's element orders are read once: their multiset decides nilpotency,
 and class deduplication buckets subgroups by (order, orbit signature,
-element-order multiset) before running a conjugacy search.
+element-order multiset) before running a conjugacy search.  The same
+pass strikes K's elements off the node's pending candidates, and a
+candidate x no longer pending is skipped before its chain is built:
+x lies in some K' = <H, x'> built at H, so <H, x> <= K' with orders
+|H| p and |H| p', hence p = p' and <H, x> = K', whose nilpotency
+and class were settled when K' was built.
 
 The search refuses a G above its cap (``FULL_SEARCH_CAP`` unless the
 caller gives one) or above ``search.CLASS_ENUMERATION_CAP``, both
@@ -146,11 +151,17 @@ def carter_subgroups(G: PermGroup, cap: int = FULL_SEARCH_CAP) -> SubgroupClassS
             steps = [(x, x.order()) for _, x in classes]
         else:
             steps = _prime_order_candidates(N, H)
+        # the candidates in no extension built at H so far
+        pending = {x for x, _ in steps}
         for x, p in steps:
+            if x not in pending:
+                continue        # <H, x> is an extension already built at H
             # xH has order p in N/H, so |<H, x>| = |H| p
             K = PermGroup(H.generators + (x,), G.degree,
                           _known_order=H.order() * p)
-            orders = tuple(sorted(g.order() for g in K.elements()))
+            elements = list(K.elements())
+            pending.difference_update(elements)
+            orders = tuple(sorted(g.order() for g in elements))
             if _nilpotent_by_orders(K.order(), orders) and is_new(K, orders):
                 queue.append((K, orders))
     carter_reps.sort(key=lambda node: (node[0].order(), node[1]))

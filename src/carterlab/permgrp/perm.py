@@ -101,15 +101,21 @@ class _PermMethods:
         return self * u.inverse()
 
     def __pow__(self, k: int) -> Perm:
-        n = len(self)
         if k < 0:
             return self.inverse() ** (-k)
-        r = Perm.identity(n)
+        if not k:
+            return Perm.identity(len(self))
+        # square up to the lowest set bit, then once per higher bit
         b = self
+        while not k & 1:
+            b = b * b
+            k >>= 1
+        r = b
+        k >>= 1
         while k:
+            b = b * b
             if k & 1:
                 r = r * b
-            b = b * b
             k >>= 1
         return r
 

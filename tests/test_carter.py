@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import chain
 
 import pytest
 
@@ -15,10 +17,11 @@ from carterlab.permgrp.carter import (FULL_SEARCH_CAP, _prime_order_candidates,
                                       is_carter_witness)
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
-from carterlab.permgrp.search import (are_conjugate_subgroups,
+from carterlab.permgrp.search import (are_conjugate_subgroups, class_orbits,
                                       subgroup_normalizer)
-from carterlab.permgrp.sylow import (commutator_subgroup, is_prime, p_part,
-                                     prime_factors, sylow_subgroup)
+from carterlab.permgrp.sylow import (_nilpotent_by_orders, commutator_subgroup,
+                                     is_prime, p_part, prime_factors,
+                                     sylow_subgroup)
 from carterlab.verify import CARTER_CATALOG
 
 
@@ -382,7 +385,9 @@ def test_flagship_search_product_count(products):
     a search walk multiplies out only the transversal elements its
     harvest or its answer reads (55,137 when every level re-walked its
     orbit after each new generator and every walk multiplied out every
-    point's element); it is deterministic.
+    point's element).  A candidate inside an extension already built at
+    its node is not extended again, and a power makes no product that
+    nothing reads (38,108 before either); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,27), frob)").group
@@ -390,7 +395,7 @@ def test_flagship_search_product_count(products):
     products.clear()
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [81]
-    assert sum(products.values()) <= 38_108
+    assert sum(products.values()) <= 23_690
 
 
 def test_flagship_like_search_membership_count(monkeypatch):
@@ -400,7 +405,9 @@ def test_flagship_like_search_membership_count(monkeypatch):
     before it tests a candidate, so the extension candidates' test,
     which sifts, runs once per listed class and on the members of the
     rejected classes (1,431 calls when it ran on every element of the
-    normalizer); it is deterministic.
+    normalizer), and a candidate inside an extension already built at
+    its node is not extended again (633 calls when it was); it is
+    deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
@@ -414,7 +421,7 @@ def test_flagship_like_search_membership_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "__contains__", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert calls[0] <= 713
+    assert calls[0] <= 477
 
 
 def test_flagship_like_search_strip_count(monkeypatch):
@@ -425,7 +432,9 @@ def test_flagship_like_search_strip_count(monkeypatch):
     extension <H, x> of order |H| p) stop once their orbit lengths reach
     it, and a trivial Schreier generator is skipped before it is sifted
     (3,495 calls when every build ran to the end, 1,642 when extensions
-    were built without their order); it is deterministic.
+    were built without their order, 1,261 when a candidate inside an
+    extension already built at its node was extended again); it is
+    deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
@@ -439,7 +448,7 @@ def test_flagship_like_search_strip_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "_strip", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert calls[0] <= 1_261
+    assert calls[0] <= 1_093
 
 
 def test_flagship_search_element_and_order_counts(monkeypatch):
@@ -450,8 +459,9 @@ def test_flagship_search_element_and_order_counts(monkeypatch):
     reads one Sylow subgroup's elements per prime instead of G's, and
     each extension's element orders are read once, for its nilpotency
     and its bucket key (43,572 elements and 30,925 orders when the first
-    layer read all 29,484 elements of G and orders were read twice); it
-    is deterministic.
+    layer read all 29,484 elements of G and orders were read twice), and
+    a candidate inside an extension already built at its node is not
+    extended again (11,586 and 8,203 when it was); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,27), frob)").group
@@ -471,8 +481,8 @@ def test_flagship_search_element_and_order_counts(monkeypatch):
     monkeypatch.setattr(Perm, "order", counting_order)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [81]
-    assert calls["elements"] <= 11_586
-    assert calls["order"] <= 8_203
+    assert calls["elements"] <= 6_244
+    assert calls["order"] <= 3_465
 
 
 @pytest.mark.parametrize("spec", [
@@ -492,13 +502,107 @@ def test_sylow_seeded_first_layer_gives_the_same_classes(monkeypatch, spec):
     assert found[0] == found[1], spec
 
 
+def _reference_carter_subgroups(G):
+    """The search that builds the extension <H, x> of every candidate x
+    at a node H, also when x lies in an extension already built there:
+    the generators of every node in the order they are expanded, and of
+    the representatives."""
+    buckets = {}
+
+    def is_new(H, orders):
+        bucket = buckets.setdefault((H.order(), H.orbit_signature(), orders), [])
+        if any(are_conjugate_subgroups(G, rep, H) is not None for rep in bucket):
+            return False
+        bucket.append(H)
+        return True
+
+    primes = prime_factors(G.order())
+    queue = deque([(PermGroup.trivial(G.degree), (1,))])
+    nodes, reps = [], []
+    while queue:
+        H, orders = queue.popleft()
+        nodes.append(H.generators)
+        N = subgroup_normalizer(G, H)
+        if N.order() == H.order():
+            reps.append((H, orders))
+            continue
+        if H.is_trivial():
+            if G.order() < carter.SYLOW_SEED_ORDER:
+                stream = G.elements()
+            else:
+                stream = chain.from_iterable(
+                    sylow_subgroup(G, p).elements() for p in primes)
+            classes = sorted((len(f), min(f)) for f in class_orbits(
+                G, stream, lambda y: y.order() in primes))
+            steps = [(x, x.order()) for _, x in classes]
+        else:
+            steps = _prime_order_candidates(N, H)
+        for x, p in steps:
+            K = PermGroup(H.generators + (x,), G.degree,
+                          _known_order=H.order() * p)
+            orders = tuple(sorted(g.order() for g in K.elements()))
+            if _nilpotent_by_orders(K.order(), orders) and is_new(K, orders):
+                queue.append((K, orders))
+    reps.sort(key=lambda node: (node[0].order(), node[1]))
+    return nodes, [R.generators for R, _ in reps]
+
+
+@pytest.mark.parametrize("spec", [
+    *dict.fromkeys(spec for spec, *_ in CARTER_CATALOG.values()),
+    "Ext(PSL(2,8), frob)", "Ext(PSL(2,27), frob)"])
+def test_search_skipping_built_extensions_gives_the_same_classes(
+        monkeypatch, spec):
+    """A candidate x inside an extension K = <H, x'> already built at H
+    is skipped: <H, x> <= K with orders |H| p and |H| p', so p = p' and
+    <H, x> = K, whose nilpotency and class were settled when K was
+    built.  The nodes, each expanded by one normalizer call, and the
+    representatives, generators included, are those of the search that
+    builds every candidate's extension."""
+    from carterlab.linear.groupspec import realize
+    G = realize(spec).group
+    nodes = []
+    normalizer = carter.subgroup_normalizer
+
+    def recording(parent, H):
+        nodes.append(H.generators)
+        return normalizer(parent, H)
+
+    monkeypatch.setattr(carter, "subgroup_normalizer", recording)
+    reps = [R.generators for R in carter_subgroups(G).representatives]
+    assert (nodes, reps) == _reference_carter_subgroups(G), spec
+
+
+@pytest.mark.parametrize("spec, order, bound", [
+    ("Sym(6)", 16, 46), ("Ext(PSL(2,27), frob)", 81, 20)])
+def test_search_subgroup_conjugacy_test_count(monkeypatch, spec, order, bound):
+    """A perf gate that does not depend on the machine: the search's
+    ``are_conjugate_subgroups`` calls.  A candidate inside an extension
+    already built at its node is not extended again, so the bucket of
+    that extension is not searched again (107 calls on ``Sym(6)`` and
+    109 on ``Ext(PSL(2,27), frob)`` when it was); it is deterministic."""
+    from carterlab.linear.groupspec import realize
+    G = realize(spec).group
+    calls = [0]
+    conjugate = carter.are_conjugate_subgroups
+
+    def counting(*args):
+        calls[0] += 1
+        return conjugate(*args)
+
+    monkeypatch.setattr(carter, "are_conjugate_subgroups", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [order]
+    assert calls[0] <= bound
+
+
 def test_flagship_like_search_chain_build_count(monkeypatch):
     """A perf gate that does not depend on the machine: chain builds.
 
     Every ``PermGroup`` built by the search counts, those that derive
     the walk generators of each walked group included (233 builds when
-    a prune pass built one chain per kept generator prefix); it is
-    deterministic.
+    a prune pass built one chain per kept generator prefix, 164 when a
+    candidate inside an extension already built at its node was
+    extended again); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
@@ -512,13 +616,15 @@ def test_flagship_like_search_chain_build_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "__init__", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert builds[0] <= 164
+    assert builds[0] <= 133
 
 
 def test_sym6_search_chain_build_count(monkeypatch):
     """A perf gate that does not depend on the machine: chain builds of
     the ``Sym(6)`` search, walk-generator derivations included (735 when
-    the walk-pair rule also tried (g_1...g_m, g_i)); it is deterministic.
+    the walk-pair rule also tried (g_1...g_m, g_i), 672 when a candidate
+    inside an extension already built at its node was extended again);
+    it is deterministic.
     """
     G = PermGroup.symmetric(6)
     builds = [0]
@@ -531,14 +637,16 @@ def test_sym6_search_chain_build_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "__init__", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [16]
-    assert builds[0] <= 672
+    assert builds[0] <= 499
 
 
 def test_partition_walk_count(monkeypatch):
     """A perf gate that does not depend on the machine: partition moves.
 
     The bound is the count of ``_move_partition`` calls the orbit-partition
-    walks of the normalizers and conjugacy tests make; it is deterministic.
+    walks of the normalizers and conjugacy tests make (2,187 when a
+    candidate inside an extension already built at its node was extended
+    again); it is deterministic.
     """
     from carterlab.permgrp import search
     calls = [0]
@@ -551,4 +659,4 @@ def test_partition_walk_count(monkeypatch):
     monkeypatch.setattr(search, "_move_partition", counting)
     result = carter_subgroups(PermGroup.symmetric(6))
     assert [R.order() for R in result.representatives] == [16]
-    assert calls[0] <= 2_187
+    assert calls[0] <= 1_625

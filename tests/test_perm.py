@@ -52,12 +52,21 @@ def test_associativity_and_inverse():
         assert a.inverse().inverse() == a
 
 
-def test_pow_matches_repeated_product():
-    p = Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    acc = Perm.identity(6)
-    for k in range(13):
-        assert p ** k == acc
-        acc = acc * p
+def test_pow_matches_repeated_product(products):
+    """k = 0, 1, 2, powers of two and negative k, against repeated
+    products; a power k >= 1 squares up to its highest bit and multiplies
+    once per further set bit, so it makes no product that nothing reads."""
+    p = Perm.from_cycles(11, [(0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10)])  # order 30
+    powers = [Perm.identity(11)]
+    for _ in range(29):
+        powers.append(powers[-1] * p)
+    assert powers[-1] * p == powers[0]
+    for k in [*range(13), 16, 31, 32, 64, *range(-13, 0), -16, -32, -64]:
+        products.clear()
+        assert p ** k == powers[k % 30], k
+        m = abs(k)
+        made = m.bit_length() + m.bit_count() - 2 if m else 0
+        assert sum(products.values()) == made, k
     assert p ** -1 == p.inverse()
 
 
