@@ -97,7 +97,11 @@ def _prime_order_candidates(N: PermGroup, H: PermGroup) -> list:
         # yH has prime order p iff yH != H and y^p lies in H for a prime p | o(y)
         if y in H:
             return False
-        p = next((p for p in prime_factors(y.order()) if (y ** p) in H), None)
+        o = y.order()
+        primes = prime_factors(o)
+        # of prime order o, y^o is the identity, which lies in H
+        p = o if primes == [o] else next(
+            (p for p in primes if (y ** p) in H), None)
         if p is None:
             return False
         found.append(p)

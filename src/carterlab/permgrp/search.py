@@ -180,19 +180,15 @@ def _move_partition(lab, g):
     return g._move_labels(lab)
 
 
-def _partition_stabilizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Stab_G of H's orbit partition; it contains N_G(H) and H itself."""
-    return _stabilizer(G, _orbit_partition(H), _move_partition,
-                       seed_gens=H.generators)
-
-
 def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H): the fingerprint walk inside the stabilizer of H's orbits."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     if H.order() == G.order() or H.is_trivial():
         return G
-    K = _partition_stabilizer(G, H)
+    # the stabilizer of H's orbit partition contains N_G(H) and H itself
+    K = _stabilizer(G, _orbit_partition(H), _move_partition,
+                    seed_gens=H.generators)
     if K.order() == H.order():
         return K
     return _stabilizer(K, _fingerprint(H), _conj_fingerprint,
@@ -226,14 +222,14 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
         return Perm.identity(G.degree)
     # any conjugator maps H1's orbit partition onto H2's; after g does,
     # the rest of the search lies in the stabilizer of H2's partition
-    g = _orbit_search(G, _orbit_partition(H1), _move_partition,
-                      _orbit_partition(H2))
+    part2 = _orbit_partition(H2)
+    g = _orbit_search(G, _orbit_partition(H1), _move_partition, part2)
     if g is None:
         return None
     fp1, fp2 = _conj_fingerprint(_fingerprint(H1), g), _fingerprint(H2)
     if fp1 == fp2:
         return g
-    K2 = _partition_stabilizer(G, H2)
+    K2 = _stabilizer(G, part2, _move_partition, seed_gens=H2.generators)
     hit = _orbit_search(K2, fp1, _conj_fingerprint, fp2)
     return None if hit is None else g * hit
 

@@ -4,14 +4,15 @@ The ascent uses the standard fact that a p-subgroup H with |H| < |G|_p
 has p dividing |N_G(H) : H|, so some p-element of the normalizer grows
 H.  Each step scans the normalizer's elements in their fixed enumeration
 order and adjoins the p-part of the first element whose p-part lies
-outside H, so every call returns the same Sylow subgroup.
+outside H, so every call returns the same Sylow subgroup.  An element
+of order prime to p has the identity as its p-part, so it is passed
+over before any power is taken.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .perm import Perm
 from .group import PermGroup
 from .search import subgroup_normalizer
 
@@ -42,12 +43,6 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def _p_element_part(g: Perm, p: int) -> Perm:
-    """The p-part of g: g raised to the p'-part of its order."""
-    o = g.order()
-    return g ** (o // p_part(o, p))
-
-
 def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup of G (trivial if p does not divide |G|)."""
     if not is_prime(p):
@@ -55,21 +50,19 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     target = p_part(G.order(), p)
     H = PermGroup.trivial(G.degree)
     while H.order() < target:
-        grown = _grow_by_p_element(subgroup_normalizer(G, H), H, p)
-        if grown is None:
+        for y in subgroup_normalizer(G, H).elements():
+            o = y.order()
+            if o % p:
+                continue        # a p'-element: its p-part is the identity
+            # y's p-part, not the identity, since p divides o
+            z = y ** (o // p_part(o, p))
+            if z not in H:
+                H = PermGroup(H.generators + (z,), G.degree)
+                break
+        else:
             raise AssertionError("p-ascent stalled below the Sylow order")
-        H = grown
     assert H.order() == target
     return H
-
-
-def _grow_by_p_element(N: PermGroup, H: PermGroup, p: int):
-    """<H, z> for the first y in N whose p-part z lies outside H, or None."""
-    for y in N.elements():
-        z = _p_element_part(y, p)
-        if not z.is_identity() and z not in H:
-            return PermGroup(H.generators + (z,), N.degree)
-    return None
 
 
 def is_nilpotent(H: PermGroup) -> bool:

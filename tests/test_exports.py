@@ -1,6 +1,7 @@
 """Every package's ``__all__`` names exactly what its ``__init__`` imports,
-every public name of the engine is used by the engine itself, and the
-package defines no exception types beyond its four."""
+every public name of the engine is used by the engine itself, every
+private name is read somewhere, and the package defines no exception
+types beyond its four."""
 
 import ast
 import importlib
@@ -54,15 +55,12 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _public(names):
-    return [n for n in names if not n.startswith("_")]
-
-
-def test_every_public_name_is_referenced_or_allowed():
-    """Public module-level functions and classes (read as a name or an
-    attribute), and the public methods of those classes (read as an
-    attribute), are read by some module other than a package
-    ``__init__``, or are allowed above.  A local variable that shares a
+def _unreferenced(keep):
+    """The definitions that ``keep(name, class name or None)`` selects
+    and no module other than a package ``__init__`` reads.  Definitions
+    are module-level functions and classes, and the methods of those
+    classes.  A function or class is read as a name or an attribute, a
+    method as an attribute only, so a local variable that shares a
     method's name does not count as a read of the method."""
     root = pathlib.Path(carterlab.__file__).parent
     defined, names, attributes = [], set(), set()
@@ -71,21 +69,38 @@ def test_every_public_name_is_referenced_or_allowed():
         module = ".".join(path.relative_to(root).with_suffix("").parts)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                for name in _public([node.name]):
-                    defined.append((f"{module}.{name}", name, False))
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                methods = [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
-                for name in _public(methods):
-                    defined.append((f"{module}.{node.name}.{name}", name, True))
+                defined.append((f"{module}.{node.name}", node.name, None))
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        defined.append((f"{module}.{node.name}.{m.name}",
+                                        m.name, node.name))
         if path.name != "__init__.py":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
-    unreferenced = {qual for qual, name, method in defined
-                    if name not in attributes and (method or name not in names)}
-    assert unreferenced == UNREFERENCED_ALLOWED
+    return {qual for qual, name, cls in defined if keep(name, cls)
+            and name not in attributes and (cls or name not in names)}
+
+
+def test_every_public_name_is_referenced_or_allowed():
+    """Public module-level functions and classes, and the public methods
+    of those classes, are read by some module other than a package
+    ``__init__``, or are allowed above."""
+    assert _unreferenced(lambda name, cls: not name.startswith("_")
+                         and not (cls or "").startswith("_")
+                         ) == UNREFERENCED_ALLOWED
+
+
+def test_every_private_name_is_referenced():
+    """Private module-level functions and classes, and the private
+    methods of every class (dunders aside), are read by some module
+    other than a package ``__init__``: a helper that a simplification
+    leaves without a caller is deleted with it."""
+    assert _unreferenced(lambda name, cls: name.startswith("_")
+                         and not name.endswith("__")) == set()
 
 
 def test_exception_types_are_exactly_the_four():

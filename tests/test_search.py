@@ -540,7 +540,7 @@ def test_walk_builds_the_elements_an_eager_transversal_builds(corpus):
         _same_walks(G, part, move, [move(part, g) for g in gs] + [other],
                     seed_gens=H.generators)
 
-        K = search._partition_stabilizer(G, H)
+        K = search._stabilizer(G, part, move, seed_gens=H.generators)
         fp = search._fingerprint(H)
         ks = [K.random_element(rng) for _ in range(2)]
         fp_other = search._fingerprint(PermGroup([y], G.degree))

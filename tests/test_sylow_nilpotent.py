@@ -1,7 +1,9 @@
 import pytest
 
+from carterlab.linear.groupspec import realize
 from carterlab.permgrp.group import PermGroup
 from carterlab.permgrp.perm import Perm
+from carterlab.permgrp.search import subgroup_normalizer
 from carterlab.permgrp.sylow import (is_nilpotent, lower_central_series,
                                      p_part, prime_factors, sylow_subgroup)
 
@@ -40,6 +42,58 @@ def test_sylow_rejects_composite_p():
 def test_sylow_subgroup_is_deterministic():
     G = PermGroup.symmetric(6)
     assert sylow_subgroup(G, 2).generators == sylow_subgroup(G, 2).generators
+
+
+def _reference_sylow_subgroup(G, p):
+    """The ascent that takes the p-part of every element of N_G(H) in
+    turn, p'-elements included, and adjoins the first that is not the
+    identity and lies outside H."""
+    def p_element_part(g):
+        o = g.order()
+        return g ** (o // p_part(o, p))
+
+    H = PermGroup.trivial(G.degree)
+    while H.order() < p_part(G.order(), p):
+        z = next(z for z in map(p_element_part,
+                                subgroup_normalizer(G, H).elements())
+                 if not z.is_identity() and z not in H)
+        H = PermGroup(H.generators + (z,), G.degree)
+    return H
+
+
+@pytest.fixture(scope="module")
+def flagship():
+    return realize("Ext(PSL(2,27), frob)").group
+
+
+def test_sylow_subgroups_match_the_reference_ascent(corpus, flagship):
+    """Passing over p'-elements before taking a power changes no step:
+    their p-part is the identity, which the reference rejects too.  The
+    generators are the same for every prime of every group."""
+    groups = dict(corpus, flagship=flagship)
+    cases = 0
+    for spec, G in groups.items():
+        for p in prime_factors(G.order()):
+            assert (sylow_subgroup(G, p).generators
+                    == _reference_sylow_subgroup(G, p).generators), (spec, p)
+            cases += 1
+    assert cases >= 70, cases
+
+
+def test_flagship_sylow_product_count(products, flagship):
+    """A perf gate that does not depend on the machine: products made
+    building the flagship's Sylow subgroups, one per prime.
+
+    An element of order prime to p is passed over before any power is
+    taken (8,359 products when the p-part of every normalizer element
+    read was taken); it is deterministic.
+    """
+    flagship.walk_generators        # derived once per group, before the gate
+    products.clear()
+    orders = [sylow_subgroup(flagship, p).order()
+              for p in prime_factors(flagship.order())]
+    assert orders == [4, 81, 7, 13]
+    assert sum(products.values()) <= 2_724
 
 
 def nilpotent_by_lower_central_series(G):
