@@ -28,9 +28,14 @@ of the whole orbit finds them, reached by the same elements.  A search
 (in ``search``) reads few elements: a stabilizer harvest those at the
 ends of the edges it harvests, a conjugacy test the one at its target.
 So ``Walk`` keeps one parent link per point (a Schreier vector) and
-multiplies out an element only when it is read.  ``orbit`` and
-``orbits`` keep no transversal; ``orbits`` starts each orbit at the
-first input point not yet seen, and callers take ``min`` of an orbit.
+multiplies out an element only when it is read.  It asks each
+generator once for its move, a function from a point to its image
+(on the narrow kernel a closure over the generator's byte tables, see
+``perm``), and calls it once per edge.  ``orbit`` and ``orbits`` keep
+no transversal and act by ``act(point, g)``: ``orbits`` runs one
+``orbit`` per orbit, so moves made per call would be remade per orbit.
+``orbits`` starts each orbit at the first input point not yet seen,
+and callers take ``min`` of an orbit.
 """
 
 from __future__ import annotations
@@ -46,43 +51,49 @@ class Walk:
     """A breadth-first orbit walk that builds transversal elements on demand.
 
     ``Walk(start, identity)`` holds the orbit's points in discovery order
-    (``points``, position 0 the start) and, for every other point, one
-    parent link: the position of the point it was found from and the
-    generator that found it.  ``element(j)`` multiplies the generators
-    along point j's path from the start, keeping each element it builds,
-    so reading every point's element makes the products an eager
-    transversal makes, and reading few makes few.
+    (``points``, position 0 the start), each point's position
+    (``position``) and, for every other point, one parent link: the
+    position of the point it was found from and the generator that found
+    it.  ``element(j)`` multiplies the generators along point j's path
+    from the start, keeping each element it builds, so reading every
+    point's element makes the products an eager transversal makes, and
+    reading few makes few.
     """
 
-    __slots__ = ("points", "_position", "_links", "_elements")
+    __slots__ = ("points", "position", "_links", "_elements")
 
     def __init__(self, start, identity):
         self.points = [start]
-        self._position = {start: 0}
+        self.position = {start: 0}
         self._links = [None]
         self._elements = {0: identity}
 
-    def edges(self, gens, act):
-        """Walk the orbit to its end, breadth-first, and yield each edge.
+    def edges(self, gens, move, target=None):
+        """Walk the orbit breadth-first and yield each non-tree edge.
 
-        ``act(point, g)`` applies generator g.  The points are expanded in
-        the order they were found, each through ``gens`` in their given
-        order.  An edge is yielded as ``(i, s, j, new)``: generator s takes
-        the point at position i to the one at position j, which this edge
-        found when ``new`` is true.
+        ``move(g)`` returns generator g's move, a function from a point
+        to its image; the walk makes each generator's move once, then
+        calls it once per edge.  The points are expanded in the order
+        they were found, each through ``gens`` in their given order.  An
+        edge that finds no new point is yielded as ``(i, s, j)``:
+        generator s takes the point at position i to the one at position
+        j.  The walk ends at the orbit's end, or as soon as it finds
+        ``target``.
         """
-        points, position, links = self.points, self._position, self._links
+        points, position, links = self.points, self.position, self._links
+        moves = [(s, move(s)) for s in gens]
         for i, point in enumerate(points):  # the list grows while it is walked
-            for s in gens:
-                image = act(point, s)
+            for s, image_of in moves:
+                image = image_of(point)
                 j = position.get(image)
                 if j is None:
-                    j = position[image] = len(points)
+                    position[image] = len(points)
                     points.append(image)
                     links.append((i, s))
-                    yield i, s, j, True
+                    if image == target:
+                        return
                 else:
-                    yield i, s, j, False
+                    yield i, s, j
 
     def element(self, j):
         """The transversal element taking the start to the point at

@@ -18,10 +18,11 @@ translation table that maps i to ``b[i]`` for i < n:
 - conjugation kernel: with ``g_inv`` g's inverse and ``g_table`` its
   table, both made once per g, ``g_inv.translate(x + _ID[n:])`` has
   ``x[g⁻¹[i]]`` at i, and a ``translate`` through ``g_table`` then
-  gives ``g⁻¹xg``.  The bulk conjugations use it: a class walk
+  gives ``g⁻¹xg``.  Every walk that conjugates uses it: a class walk
   (``_conjugation_orbit``) pads each member once for all generators,
-  and a fingerprint image (``_conjugate_all``) conjugates every element
-  of a set by one g;
+  and a search walk (``group.Walk``) asks each generator once for its
+  move, a closure over its tables: ``g._conjugation_move()`` conjugates
+  one permutation, ``g._fingerprint_move()`` every element of a set;
 - order: ``y.translate(x + _ID[n:])`` steps y = x^k to x^(k+1), from
   x until y is the identity; an order above n, which takes more than n
   steps, is the lcm of the cycle lengths instead.
@@ -34,27 +35,29 @@ hash is salted per process, so no output may depend on the iteration
 order of a set of permutations.  A ``Perm`` and a plain ``bytes`` with
 the same images compare and hash equal, so the kernel's walks hold
 plain bytes: a class walk wraps its members as ``Perm``s when it is
-done, and a fingerprint image stays a frozenset of plain bytes, equal to
-the frozenset of their ``Perm``s.  Its elements are keys, never handed
-to a caller as permutations.
+done, while a search walk's conjugates stay plain bytes, and so does
+each element of a fingerprint image, a frozenset equal to the frozenset
+of their ``Perm``s.  These are walk points and keys, never handed to a
+caller as permutations.
 
 A partition of the points is a label vector, entry p the least point of
 p's cell, kept in its permutations' layout: ``_label_vector`` builds one
-and ``g._move_labels(lab)`` moves it by g.  For a ``Perm``,
-``bytes.maketrans(g, lab)`` puts ``lab[p]`` at ``g[p]``, and a
-``translate`` through a second ``maketrans``, over those labels
-reversed, names each cell by its least point.
+and ``g._partition_move()`` is g's move of it.  For a ``Perm``,
+``g_inv.translate(lab + _ID[n:])`` puts ``lab[p]`` at ``g[p]``, and a
+``translate`` through a ``maketrans`` over those labels reversed names
+each cell by its least point.
 
 A byte holds no image above 255.  A permutation of larger degree is a
 ``_WidePerm``: a tuple of images with the same methods and a kernel of
 Python loops and ``operator.itemgetter`` gathers.  ``Perm(images)``
 returns whichever class fits the degree, ``PERM_TYPES`` names both for
-``isinstance``, and an orbit walk acts by ``type(x).conjugate``, which
-fits either; the wide class's class walk and fingerprint image call it
-too.  ``NARROW_DEGREE`` is a module constant that tests
-lower to send every permutation of degree 2 or more through the wide
-class; it must stay at least 1, because ``itemgetter`` over fewer than
-two images returns no tuple.
+``isinstance``.  The wide class's moves are its methods: its
+conjugation move calls ``conjugate``, as its class walk does, its
+fingerprint move maps that over a set, and its partition move is
+``_move_labels``, a Python scatter.  ``NARROW_DEGREE``
+is a module constant that tests lower to send every permutation of
+degree 2 or more through the wide class; it must stay at least 1,
+because ``itemgetter`` over fewer than two images returns no tuple.
 """
 
 from __future__ import annotations
@@ -171,9 +174,11 @@ class _PermMethods:
         from .group import orbit    # group imports this module
         return orbit([self], gens, type(self).conjugate)
 
-    def _conjugate_all(self, xs) -> frozenset:
-        """The conjugates x^self of the permutations ``xs``."""
-        return frozenset(x.conjugate(self) for x in xs)
+    def _fingerprint_move(self):
+        """A set of permutations ↦ the frozenset of their conjugates by
+        self, through self's conjugation move."""
+        conjugate = self._conjugation_move()
+        return lambda xs: frozenset(map(conjugate, xs))
 
 
 class Perm(_PermMethods, bytes):
@@ -238,25 +243,42 @@ class Perm(_PermMethods, bytes):
             points[i] = bytes.__new__(Perm, points[i])
         return points
 
-    def _conjugate_all(self, xs) -> frozenset:
-        """The conjugates x^self of the permutations ``xs``, as plain bytes."""
+    def _conjugation_move(self):
+        """x ↦ x^self on the conjugation kernel, as plain bytes."""
         n = len(self)
         pad = _ID[n:]
         g_inv, g_table = bytes.maketrans(self, _ID[:n])[:n], self + pad
-        return frozenset(g_inv.translate(x + pad).translate(g_table) for x in xs)
+        return lambda x: g_inv.translate(x + pad).translate(g_table)
+
+    def _fingerprint_move(self):
+        """A set of permutations ↦ the frozenset of their conjugates by
+        self, as plain bytes.  The conjugations run inline: mapping the
+        conjugation move over the set raised the ``carter-search``
+        benchmark's peak RSS by about 0.1 MB."""
+        n = len(self)
+        pad = _ID[n:]
+        g_inv, g_table = bytes.maketrans(self, _ID[:n])[:n], self + pad
+        return lambda xs: frozenset(g_inv.translate(x + pad).translate(g_table)
+                                    for x in xs)
 
     @staticmethod
     def _label_vector(labels) -> bytes:
         return bytes(labels)
 
-    def _move_labels(self, lab: bytes) -> bytes:
-        """The label vector ``lab`` moved by self, cells named by their
-        least points.  ``maketrans`` writes left to right, so over the
-        moved labels reversed the last write for a label is its first
-        position."""
+    def _partition_move(self):
+        """A label vector ↦ the vector moved by self, cells named by
+        their least points.  ``g_inv.translate(lab + pad)`` puts
+        ``lab[p]`` at ``self[p]``; ``maketrans`` writes left to right, so
+        over the moved labels reversed the last write for a label is its
+        first position."""
         n = len(self)
-        moved = bytes.maketrans(self, lab)[:n]
-        return moved.translate(bytes.maketrans(moved[::-1], _DOWN[256 - n:]))
+        pad, down = _ID[n:], _DOWN[256 - n:]
+        g_inv = bytes.maketrans(self, _ID[:n])[:n]
+
+        def move(lab: bytes) -> bytes:
+            moved = g_inv.translate(lab + pad)
+            return moved.translate(bytes.maketrans(moved[::-1], down))
+        return move
 
 
 class _WidePerm(_PermMethods, tuple):
@@ -280,9 +302,15 @@ class _WidePerm(_PermMethods, tuple):
             out[gi] = g[xi]
         return tuple.__new__(_WidePerm, out)
 
+    def _conjugation_move(self):
+        return functools.partial(_WidePerm.conjugate, g=self)
+
     @staticmethod
     def _label_vector(labels) -> tuple:
         return tuple(labels)
+
+    def _partition_move(self):
+        return self._move_labels
 
     def _move_labels(self, lab: tuple) -> tuple:
         """The label vector ``lab`` moved by self, cells named by their

@@ -3,23 +3,31 @@
 Everything here rides the same mechanism: act on a hashable object (an
 element by conjugation, the full element fingerprint of a subgroup, or
 a partition of the domain), walk the orbit with ``group.Walk``, and
-harvest stabilizer generators through Schreier's lemma.  The walk keeps
-one parent link per point and multiplies out a point's transversal
-element only when it is read: a harvest reads those at the ends of the
-edges it harvests, a conjugacy test the one at its target.  (A chain
-level's sifts divide by every element of its transversal, so the chain
-keeps its own loop in ``group``, and all of its elements.)  The whole
-orbit is walked first, so the stabilizer's order |G| / |orbit| is known
-before the harvest starts: Schreier generators are sifted into a
-growing subgroup, discarded when redundant, and the harvest stops as
-soon as that order is reached.  When the stabilizer's order is known in
-advance (a centralizer of an element whose class size is known), each
-edge is harvested as the walk meets it, and the walk stops at the edge
-that completes the stabilizer; the Schreier generators are tried in the
-same order either way, so the stabilizer's generators are the same.
-Normalizers and centralizers harvest a stabilizer (``_stabilizer``);
-conjugacy tests search for a target point and keep no edges
-(``_orbit_search``).
+harvest stabilizer generators through Schreier's lemma.  A walk asks
+each generator once for its move, a function from a point to its
+image, and calls it once per edge; the permutation class makes the
+three moves (``_conjugation_move``, ``_fingerprint_move``,
+``_partition_move``), so a walk is given the class's method and never
+an action on (point, generator) pairs.  The walk keeps one parent link
+per point and multiplies out a point's transversal element only when it
+is read: a harvest reads those at the ends of the edges it harvests, a
+conjugacy test the one at its target.  (A chain level's sifts divide by
+every element of its transversal, so the chain keeps its own loop in
+``group``, and all of its elements.)  The whole orbit is walked first,
+so the stabilizer's order |G| / |orbit| is known before the harvest
+starts: Schreier generators are sifted into a growing subgroup,
+discarded when redundant, and the harvest stops as soon as that order
+is reached.  The growing subgroup starts as the seed, a subgroup of the
+stabilizer known in advance (H in the normalizer and conjugacy walks),
+with the chain it already has: a rebuild from its generators would give
+that same chain (see ``group``).  When the stabilizer's order is
+known in advance (a centralizer of an element whose class size is
+known), each edge is harvested as the walk meets it, and the walk stops
+at the edge that completes the stabilizer; the Schreier generators are
+tried in the same order either way, so the stabilizer's generators are
+the same.  Normalizers and centralizers harvest a stabilizer
+(``_stabilizer``); conjugacy tests search for a target point, and the
+walk stops where it finds it (``_orbit_search``).
 
 Subgroup normalizers and subgroup conjugacy first refine by the orbit
 partition of H (its orbits on the domain, fixed points included).  Any
@@ -31,8 +39,8 @@ conjugator then differs from that map by an element of H2's partition
 stabilizer.  A partition is a label vector: entry p is the least point
 of p's cell.  Equal partitions give equal vectors, so a walk keys its
 transversal by them directly.  A vector has its group's permutation
-layout, and the permutation class moves it (``_move_labels``): three C
-calls for a narrow ``Perm``, a Python scatter for a wide one.
+layout, and the permutation class moves it: two ``translate`` calls and
+a ``maketrans`` for a narrow ``Perm``, a Python scatter for a wide one.
 
 Orbits are walked breadth-first through the group's ``walk_generators``,
 a short generating set derived once per group, in a fixed order, so
@@ -43,14 +51,14 @@ representatives are least members, taken with ``min``.  Walks that need
 no transversal use ``group.orbits`` (orbit partitions) and the
 permutation class's ``_conjugation_orbit`` (classes).
 
-Two walks conjugate in bulk, and run on the permutation module's
-conjugation kernel, which makes g's inverse and translation table once
-per generator: a class walk (``class_orbits``) and a fingerprint image
-(``_conj_fingerprint``), which conjugates every element of H by one g.  A
-fingerprint image is a frozenset of plain bytes, equal to the frozenset
-of their ``Perm``s; it is a walk point and a dict key, and none of its
-elements is returned.  Centralizer walks and element conjugacy tests
-conjugate one element per edge, through ``conjugate``.
+Every walk here conjugates on the permutation module's conjugation
+kernel, which makes g's inverse and translation table once per
+generator: a class walk (``class_orbits``) pads each member once for
+all generators, and a search walk's conjugation and fingerprint moves
+are made once per generator and walk.  A conjugated element in a
+centralizer walk and every element of a fingerprint image are plain
+bytes, equal to their ``Perm``s; they are walk points and dict keys,
+and none of them is returned.
 
 One class lister, ``class_orbits``, serves ``conjugacy_classes``, the
 Carter search's first layer and its extension candidates, and the
@@ -75,22 +83,22 @@ SUBGROUP_FINGERPRINT_CAP = 10_000
 CLASS_ENUMERATION_CAP = 1_000_000
 
 
-def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
-    """Stab_G(start), where ``act(point, g)`` applies generator g.
+def _stabilizer(G: PermGroup, start, move, seed=None, order=None):
+    """Stab_G(start), where ``move(g)`` returns generator g's move.
 
     The walk acts through ``G.walk_generators``.  Schreier generators
     are harvested from the non-tree edges of the orbit walk, in walk
-    order, onto ``seed_gens`` until the stabilizer has order
-    |G| / |orbit|; the stabilizer is the same group for any generating
-    set, though its generators are not.  Without ``order`` the whole
-    orbit is walked first.  Given ``order``, the stabilizer's order,
-    each edge is harvested as the walk meets it, and the walk stops at
-    the edge that completes the stabilizer.  Only a harvested edge's
-    ends have their transversal elements built.
+    order, onto the subgroup ``seed`` of the stabilizer (the trivial
+    group if None), starting from its own chain, until the stabilizer
+    has order |G| / |orbit|; the stabilizer is the same group for any
+    generating set, though its generators are not.  Without ``order``
+    the whole orbit is walked first.  Given ``order``, the stabilizer's
+    order, each edge is harvested as the walk meets it, and the walk
+    stops at the edge that completes the stabilizer.  Only a harvested
+    edge's ends have their transversal elements built.
     """
     walk = Walk(start, Perm.identity(G.degree))
-    edges = ((i, s, j) for i, s, j, new
-             in walk.edges(G.walk_generators, act) if not new)
+    edges = walk.edges(G.walk_generators, move)
     if order is None:
         edges = list(edges)
         # a full walk builds the chain only now: built before the walk, it
@@ -98,7 +106,7 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
         order = G.order() // len(walk.points)
     # every group built here lies in the stabilizer, so the stabilizer's
     # order bounds theirs, and each chain build stops once it reaches it
-    stab = PermGroup(seed_gens, G.degree, _known_order=order)
+    stab = PermGroup.trivial(G.degree) if seed is None else seed
     if stab.order() < order:
         for i, s, j in edges:
             g = walk.element(i) * s / walk.element(j)
@@ -113,8 +121,8 @@ def _stabilizer(G: PermGroup, start, act, seed_gens=(), order=None):
     return stab
 
 
-def _orbit_search(G: PermGroup, start, act, target):
-    """A g in G taking ``start`` to ``target`` under ``act``, or None.
+def _orbit_search(G: PermGroup, start, move, target):
+    """A g in G taking ``start`` to ``target`` under ``move``, or None.
 
     The identity when ``start == target``; otherwise the walk stops at
     ``target``, and g is the transversal element that reaches it, the
@@ -123,10 +131,10 @@ def _orbit_search(G: PermGroup, start, act, target):
     if start == target:
         return Perm.identity(G.degree)
     walk = Walk(start, Perm.identity(G.degree))
-    for _, _, j, new in walk.edges(G.walk_generators, act):
-        if new and walk.points[j] == target:
-            return walk.element(j)
-    return None
+    for _ in walk.edges(G.walk_generators, move, target):
+        pass
+    j = walk.position.get(target)
+    return None if j is None else walk.element(j)
 
 
 def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
@@ -134,7 +142,7 @@ def element_centralizer(G: PermGroup, x: Perm) -> PermGroup:
     if len(x) != G.degree:
         raise ValueError("degree mismatch")
     x = x if isinstance(x, PERM_TYPES) else Perm(x)
-    return _stabilizer(G, x, type(x).conjugate)
+    return _stabilizer(G, x, type(x)._conjugation_move)
 
 
 def subgroup_centralizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -156,10 +164,6 @@ def _fingerprint(H: PermGroup) -> frozenset:
     return frozenset(H.elements())
 
 
-def _conj_fingerprint(fp: frozenset, g: Perm) -> frozenset:
-    return g._conjugate_all(fp)
-
-
 def _orbit_partition(H: PermGroup):
     """H's orbits on the domain, fixed points included, as a label vector
     in the layout of H's permutations: entry p is the least point of p's
@@ -171,28 +175,18 @@ def _orbit_partition(H: PermGroup):
     return H.identity()._label_vector(lab)
 
 
-def _move_partition(lab, g):
-    """The label vector of the partition ``lab`` moved by g.
-
-    Cells are relabelled by their least points, so equal partitions give
-    equal vectors.
-    """
-    return g._move_labels(lab)
-
-
 def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H): the fingerprint walk inside the stabilizer of H's orbits."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     if H.order() == G.order() or H.is_trivial():
         return G
+    layout = type(H.identity())
     # the stabilizer of H's orbit partition contains N_G(H) and H itself
-    K = _stabilizer(G, _orbit_partition(H), _move_partition,
-                    seed_gens=H.generators)
+    K = _stabilizer(G, _orbit_partition(H), layout._partition_move, seed=H)
     if K.order() == H.order():
         return K
-    return _stabilizer(K, _fingerprint(H), _conj_fingerprint,
-                       seed_gens=H.generators)
+    return _stabilizer(K, _fingerprint(H), layout._fingerprint_move, seed=H)
 
 
 def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
@@ -201,7 +195,7 @@ def are_conjugate_elements(G: PermGroup, x: Perm, y: Perm):
         raise ValueError("elements must lie in G")
     if x.cycle_type() != y.cycle_type():
         return None
-    return _orbit_search(G, x, type(x).conjugate, y)
+    return _orbit_search(G, x, type(x)._conjugation_move, y)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
@@ -222,15 +216,16 @@ def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):
         return Perm.identity(G.degree)
     # any conjugator maps H1's orbit partition onto H2's; after g does,
     # the rest of the search lies in the stabilizer of H2's partition
+    layout = type(G.identity())
     part2 = _orbit_partition(H2)
-    g = _orbit_search(G, _orbit_partition(H1), _move_partition, part2)
+    g = _orbit_search(G, _orbit_partition(H1), layout._partition_move, part2)
     if g is None:
         return None
-    fp1, fp2 = _conj_fingerprint(_fingerprint(H1), g), _fingerprint(H2)
+    fp1, fp2 = g._fingerprint_move()(_fingerprint(H1)), _fingerprint(H2)
     if fp1 == fp2:
         return g
-    K2 = _stabilizer(G, part2, _move_partition, seed_gens=H2.generators)
-    hit = _orbit_search(K2, fp1, _conj_fingerprint, fp2)
+    K2 = _stabilizer(G, part2, layout._partition_move, seed=H2)
+    hit = _orbit_search(K2, fp1, layout._fingerprint_move, fp2)
     return None if hit is None else g * hit
 
 
@@ -294,4 +289,5 @@ def element_centralizer_with_known_index(G: PermGroup, x: Perm,
     """
     if class_size < 1 or G.order() % class_size:
         raise ValueError(f"class size {class_size} does not divide |G| = {G.order()}")
-    return _stabilizer(G, x, type(x).conjugate, order=G.order() // class_size)
+    return _stabilizer(G, x, type(x)._conjugation_move,
+                       order=G.order() // class_size)

@@ -38,11 +38,11 @@ def corpus():
 def conjugations(monkeypatch):
     """Counts the conjugations made on narrow permutations, by where they
     are made: ``Perm.conjugate`` calls, class-walk edges (members times
-    generators) and fingerprint images (one per element)."""
+    generators), calls of a generator's conjugation move (one each) and
+    of its fingerprint move (one per element)."""
     counts = Counter()
     conjugate = Perm.conjugate
     walk = Perm._conjugation_orbit
-    images = Perm._conjugate_all
 
     def counting_conjugate(self, g):
         counts["conjugate"] += 1
@@ -53,13 +53,22 @@ def conjugations(monkeypatch):
         counts["class walk"] += len(members) * len(gens)
         return members
 
-    def counting_images(self, xs):
-        counts["fingerprint"] += len(xs)
-        return images(self, xs)
+    def counting_moves(site, make_move, size):
+        def counting_make_move(self):
+            move = make_move(self)
+
+            def counting(point):
+                counts[site] += size(point)
+                return move(point)
+            return counting
+        return counting_make_move
 
     monkeypatch.setattr(Perm, "conjugate", counting_conjugate)
     monkeypatch.setattr(Perm, "_conjugation_orbit", counting_walk)
-    monkeypatch.setattr(Perm, "_conjugate_all", counting_images)
+    monkeypatch.setattr(Perm, "_conjugation_move", counting_moves(
+        "conjugation move", Perm._conjugation_move, lambda x: 1))
+    monkeypatch.setattr(Perm, "_fingerprint_move", counting_moves(
+        "fingerprint move", Perm._fingerprint_move, len))
     return counts
 
 

@@ -362,7 +362,8 @@ def test_prime_order_candidates_match_a_reference(corpus):
 
 def test_flagship_like_search_conjugation_count(conjugations):
     """A perf gate that does not depend on the machine: conjugations, by
-    ``Perm.conjugate``, in class walks and in fingerprint images.
+    ``Perm.conjugate``, in class walks and by the walks' conjugation and
+    fingerprint moves.
 
     The bound is the count the search makes with the normalizer and
     conjugacy walks refined by orbit partitions, a first layer that
@@ -389,8 +390,9 @@ def test_flagship_search_product_count(products):
     its node is not extended again, and a power makes no product that
     nothing reads (38,108 before either).  The Sylow ascent takes no
     power of an element of order prime to p, and a candidate of prime
-    order p is not powered to test its order p (23,690 before both); it
-    is deterministic.
+    order p is not powered to test its order p (23,690 before both).  A
+    harvest starts from its seed subgroup's own chain instead of
+    rebuilding it (17,860 before); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,27), frob)").group
@@ -398,7 +400,7 @@ def test_flagship_search_product_count(products):
     products.clear()
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [81]
-    assert sum(products.values()) <= 17_860
+    assert sum(products.values()) <= 15_599
 
 
 def test_flagship_like_search_membership_count(monkeypatch):
@@ -606,7 +608,8 @@ def test_flagship_like_search_chain_build_count(monkeypatch):
     the walk generators of each walked group included (233 builds when
     a prune pass built one chain per kept generator prefix, 164 when a
     candidate inside an extension already built at its node was
-    extended again); it is deterministic.
+    extended again, 133 when a harvest rebuilt its seed subgroup's
+    chain); it is deterministic.
     """
     from carterlab.linear.groupspec import realize
     G = realize("Ext(PSL(2,8), frob)").group
@@ -620,15 +623,38 @@ def test_flagship_like_search_chain_build_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "__init__", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [6]
-    assert builds[0] <= 133
+    assert builds[0] <= 110
+
+
+def test_flagship_search_chain_build_count(monkeypatch):
+    """A perf gate that does not depend on the machine: chain builds of
+    the ``Ext(PSL(2,27), frob)`` search, its walk generators derived
+    first (239 when a harvest rebuilt its seed subgroup's chain); it is
+    deterministic.
+    """
+    from carterlab.linear.groupspec import realize
+    G = realize("Ext(PSL(2,27), frob)").group
+    G.walk_generators               # derived once per group, before the gate
+    builds = [0]
+    init = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    result = carter_subgroups(G)
+    assert [R.order() for R in result.representatives] == [81]
+    assert builds[0] <= 192
 
 
 def test_sym6_search_chain_build_count(monkeypatch):
     """A perf gate that does not depend on the machine: chain builds of
     the ``Sym(6)`` search, walk-generator derivations included (735 when
     the walk-pair rule also tried (g_1...g_m, g_i), 672 when a candidate
-    inside an extension already built at its node was extended again);
-    it is deterministic.
+    inside an extension already built at its node was extended again,
+    499 when a harvest rebuilt its seed subgroup's chain); it is
+    deterministic.
     """
     G = PermGroup.symmetric(6)
     builds = [0]
@@ -641,26 +667,30 @@ def test_sym6_search_chain_build_count(monkeypatch):
     monkeypatch.setattr(PermGroup, "__init__", counting)
     result = carter_subgroups(G)
     assert [R.order() for R in result.representatives] == [16]
-    assert builds[0] <= 499
+    assert builds[0] <= 425
 
 
 def test_partition_walk_count(monkeypatch):
     """A perf gate that does not depend on the machine: partition moves.
 
-    The bound is the count of ``_move_partition`` calls the orbit-partition
-    walks of the normalizers and conjugacy tests make (2,187 when a
-    candidate inside an extension already built at its node was extended
-    again); it is deterministic.
+    The bound is the count of partition-move calls (the moves
+    ``Perm._partition_move`` makes, one per generator and walk) that the
+    orbit-partition walks of the normalizers and conjugacy tests make
+    (2,187 when a candidate inside an extension already built at its
+    node was extended again); it is deterministic.
     """
-    from carterlab.permgrp import search
     calls = [0]
-    move = search._move_partition
+    make = Perm._partition_move
 
-    def counting(part, g):
-        calls[0] += 1
-        return move(part, g)
+    def counting_make(g):
+        move = make(g)
 
-    monkeypatch.setattr(search, "_move_partition", counting)
+        def counting(part):
+            calls[0] += 1
+            return move(part)
+        return counting
+
+    monkeypatch.setattr(Perm, "_partition_move", counting_make)
     result = carter_subgroups(PermGroup.symmetric(6))
     assert [R.order() for R in result.representatives] == [16]
     assert calls[0] <= 1_625

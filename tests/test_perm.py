@@ -11,7 +11,7 @@ import pytest
 
 import carterlab
 from carterlab.linear.groupspec import realize
-from carterlab.permgrp import perm, search
+from carterlab.permgrp import perm
 from carterlab.permgrp.group import PermGroup, orbit
 from carterlab.permgrp.perm import Perm
 from carterlab.permgrp.quotient import quotient_group
@@ -120,9 +120,9 @@ def test_division_is_the_product_by_the_inverse(monkeypatch, n, narrow_degree):
 @pytest.mark.parametrize("narrow_degree", [perm.NARROW_DEGREE, 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 28, 72, 255, 256])
 def test_conjugation_walks_match_the_reference(monkeypatch, n, narrow_degree):
-    """The class walk and the fingerprint image against ``group.orbit``
-    and ``Perm.conjugate``, in either layout.  The generators move at
-    most six points, so each class has at most 720 members."""
+    """The class walk and the conjugation and fingerprint moves against
+    ``group.orbit`` and ``conjugate``, in either layout.  The generators
+    move at most six points, so each class has at most 720 members."""
     monkeypatch.setattr(perm, "NARROW_DEGREE", narrow_degree)
     kind = Perm if n <= narrow_degree else perm._WidePerm
     rng = random.Random(n)
@@ -138,12 +138,16 @@ def test_conjugation_walks_match_the_reference(monkeypatch, n, narrow_degree):
         members = x._conjugation_orbit(gens)
         assert members == orbit([x], gens, type(x).conjugate)
         assert all(type(y) is kind for y in members)
+        move = g._conjugation_move()
+        assert all(move(y) == y.conjugate(g) for y in members)
+        # a walk moves the points it found, plain bytes on the narrow kernel
+        assert move(move(x)) == x.conjugate(g).conjugate(g)
         fp = frozenset(members)
-        image = search._conj_fingerprint(fp, g)
+        image = g._fingerprint_move()(fp)
         expected = frozenset(y.conjugate(g) for y in fp)
         assert image == expected and {expected: True}[image]
         # a walk conjugates fingerprint images too, not only sets of Perms
-        again = search._conj_fingerprint(image, h)
+        again = h._fingerprint_move()(image)
         expected = frozenset(y.conjugate(h) for y in expected)
         assert again == expected and {expected: True}[again]
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -133,6 +134,11 @@ def _cells(lab):
     return {frozenset(c) for c in cells.values()}
 
 
+def _move(lab, g):
+    """The label vector ``lab`` moved by g, through g's partition move."""
+    return g._partition_move()(lab)
+
+
 def _random_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
@@ -149,15 +155,15 @@ def test_moved_label_vector_encodes_moved_orbits(corpus):
         for kind, g in (("in G", G.random_element(rng)),
                         ("in H", H.random_element(rng)),
                         ("in Sym(n)", _random_perm(rng, G.degree))):
-            moved = search._move_partition(lab, g)
+            moved = _move(lab, g)
             assert _cells(moved) == {frozenset(g[p] for p in o)
                                      for o in H.natural_orbits()}, (spec, kind)
             Hg = PermGroup([h.conjugate(g) for h in H.generators], G.degree)
             assert moved == search._orbit_partition(Hg), (spec, kind)
             # the walks move moved vectors: the right action composes
             g2 = _random_perm(rng, G.degree)
-            assert search._move_partition(moved, g2) == \
-                search._move_partition(lab, g * g2), (spec, kind)
+            assert _move(moved, g2) == \
+                _move(lab, g * g2), (spec, kind)
             kinds[kind] += 1
             kinds["moved"] += moved != lab
     assert min(kinds.values()) >= 100, kinds
@@ -169,9 +175,9 @@ def test_label_vectors_equal_exactly_when_partitions_equal(corpus):
     for spec, G, H, rng in random_subgroups(corpus, 15, 3):
         lab = search._orbit_partition(H)
         labs = by_degree.setdefault(G.degree, [])
-        labs += [lab, search._move_partition(lab, H.random_element(rng)),
-                 search._move_partition(lab, G.random_element(rng)),
-                 search._move_partition(lab, _random_perm(rng, G.degree))]
+        labs += [lab, _move(lab, H.random_element(rng)),
+                 _move(lab, G.random_element(rng)),
+                 _move(lab, _random_perm(rng, G.degree))]
     for labs in by_degree.values():
         for i, lab1 in enumerate(labs):
             for lab2 in labs[i + 1:]:
@@ -207,12 +213,12 @@ def test_partition_move_matches_the_scatter_move(n):
         lab, g = _random_partition(rng, n), _random_perm(rng, n)
         for h in (g, tuple.__new__(perm._WidePerm, g)):
             vector = h._label_vector(lab)
-            moved = search._move_partition(vector, h)
+            moved = _move(vector, h)
             assert type(moved) is type(vector) and tuple(moved) == _scatter_move(lab, g)
     singletons, one_cell = tuple(range(n)), (0,) * n
     g = _random_perm(rng, n)
-    assert tuple(search._move_partition(bytes(singletons), g)) == singletons
-    assert tuple(search._move_partition(bytes(one_cell), g)) == one_cell
+    assert tuple(_move(bytes(singletons), g)) == singletons
+    assert tuple(_move(bytes(one_cell), g)) == one_cell
 
 
 @pytest.mark.parametrize("n", [1, 2, 28, 256, 257, 300])
@@ -227,7 +233,7 @@ def test_orbit_partition_is_bytes_exactly_for_narrow_groups(n):
         assert (type(lab) is bytes) == (n <= 256)
         assert tuple(lab) == expected
         g = _random_perm(random.Random(n), n)
-        assert tuple(search._move_partition(lab, g)) == _scatter_move(lab, g)
+        assert tuple(_move(lab, g)) == _scatter_move(lab, g)
 
 
 def test_first_layer_is_the_prime_order_classes(corpus):
@@ -322,7 +328,7 @@ def test_conjugate_elements_identity_case():
 
 def test_orbit_search_from_a_point_to_itself_is_the_identity():
     x = cyc(5, (0, 1, 2))
-    assert search._orbit_search(S(5), x, Perm.conjugate, x).is_identity()
+    assert search._orbit_search(S(5), x, Perm._conjugation_move, x).is_identity()
 
 
 def test_conjugacy_requires_membership():
@@ -465,14 +471,15 @@ def test_walk_results_do_not_depend_on_the_walk_generators(monkeypatch):
 
 # ------------------------------------------ the walk against an eager one
 
-def _eager_walk(transversal: dict, gens, act):
+def _eager_walk(transversal: dict, gens, move):
     """The orbit walk that multiplies out every point's transversal
-    element as it finds the point; edges as ``(u, s, image, known)``."""
+    element as it finds the point, making generator s's move afresh,
+    ``move(s)``, at every edge; edges as ``(u, s, image, known)``."""
     queue = list(transversal)
     for point in queue:         # the list grows while it is walked
         u = transversal[point]
         for s in gens:
-            image = act(point, s)
+            image = move(s)(point)
             known = transversal.get(image)
             if known is None:
                 transversal[image] = u * s
@@ -480,14 +487,16 @@ def _eager_walk(transversal: dict, gens, act):
             yield u, s, image, known
 
 
-def _eager_stabilizer(G, start, act, seed_gens=(), order=None):
+def _eager_stabilizer(G, start, move, seed=None, order=None):
+    """The harvest onto a chain rebuilt from ``seed``'s generators."""
     transversal = {start: Perm.identity(G.degree)}
     edges = ((u, s, known) for u, s, _, known
-             in _eager_walk(transversal, G.walk_generators, act)
+             in _eager_walk(transversal, G.walk_generators, move)
              if known is not None)
     if order is None:
         edges = list(edges)
         order = G.order() // len(transversal)
+    seed_gens = () if seed is None else seed.generators
     stab = PermGroup(seed_gens, G.degree, _known_order=order)
     if stab.order() < order:
         for u, s, known in edges:
@@ -501,51 +510,71 @@ def _eager_stabilizer(G, start, act, seed_gens=(), order=None):
     return stab
 
 
-def _eager_orbit_search(G, start, act, target):
+def _eager_orbit_search(G, start, move, target):
     if start == target:
         return Perm.identity(G.degree)
     transversal = {start: Perm.identity(G.degree)}
-    for _, _, image, known in _eager_walk(transversal, G.walk_generators, act):
+    for _, _, image, known in _eager_walk(transversal, G.walk_generators, move):
         if known is None and image == target:
             return transversal[image]
     return None
 
 
-def _same_walks(G, start, act, targets, seed_gens=(), order=None):
+def _same_walks(G, start, move, targets, seed=None, order=None):
     """The stabilizer's generators and the conjugators to ``targets``
     agree with the eager walk's."""
-    assert (search._stabilizer(G, start, act, seed_gens, order).generators
-            == _eager_stabilizer(G, start, act, seed_gens, order).generators)
+    assert (search._stabilizer(G, start, move, seed, order).generators
+            == _eager_stabilizer(G, start, move, seed, order).generators)
     for target in targets:
-        assert (search._orbit_search(G, start, act, target)
-                == _eager_orbit_search(G, start, act, target))
+        assert (search._orbit_search(G, start, move, target)
+                == _eager_orbit_search(G, start, move, target))
 
 
-def test_walk_builds_the_elements_an_eager_transversal_builds(corpus):
+def _walks_match_the_eager_walk(corpus, monkeypatch, narrow_degree):
     """Stabilizer generators and conjugators of the walk that multiplies
-    out only the elements it reads, against the walk that multiplies out
-    every one, for the three actions: elements by conjugation, orbit
-    partitions and fingerprints.  Targets lie in the orbit but for the
-    last, which may not."""
-    conj, move = Perm.conjugate, search._move_partition
+    out only the elements it reads and starts its harvest from the seed
+    subgroup's chain, against the walk that multiplies out every one and
+    rebuilds the seed's chain, for the three moves: elements by
+    conjugation, orbit partitions and fingerprints.  Targets lie in the
+    orbit but for the last, which may not.  Each group is rebuilt from
+    its generators' images under ``narrow_degree``, with identities
+    cached afresh, so the draws are the same in either layout."""
+    monkeypatch.setattr(perm, "NARROW_DEGREE", narrow_degree)
+    monkeypatch.setattr(perm, "_identity",
+                        functools.cache(perm._identity.__wrapped__))
+    kind = Perm if narrow_degree > 1 else perm._WidePerm
+    groups = {spec: PermGroup([Perm(g) for g in G.generators], G.degree)
+              for spec, G in corpus_upto(corpus, 2000).items()}
+    conj, part_move, fp_move = (kind._conjugation_move, kind._partition_move,
+                                kind._fingerprint_move)
     draws = 0
-    for spec, G, H, rng in random_subgroups(corpus, 18, 3):
+    for spec, G, H, rng in random_subgroups(groups, 18, 3):
         x, y = H.generators[0], G.random_element(rng)
+        assert type(x) is type(y) is type(G.identity()) is kind, spec
         gs = [G.random_element(rng) for _ in range(2)]
         _same_walks(G, x, conj, [x.conjugate(g) for g in gs] + [y])
         _same_walks(G, x, conj, [], order=element_centralizer(G, x).order())
 
         part = search._orbit_partition(H)
         other = search._orbit_partition(PermGroup([y], G.degree))
-        _same_walks(G, part, move, [move(part, g) for g in gs] + [other],
-                    seed_gens=H.generators)
+        _same_walks(G, part, part_move, [_move(part, g) for g in gs] + [other],
+                    seed=H)
 
-        K = search._stabilizer(G, part, move, seed_gens=H.generators)
+        K = search._stabilizer(G, part, part_move, seed=H)
         fp = search._fingerprint(H)
         ks = [K.random_element(rng) for _ in range(2)]
         fp_other = search._fingerprint(PermGroup([y], G.degree))
-        _same_walks(K, fp, search._conj_fingerprint,
-                    [search._conj_fingerprint(fp, k) for k in ks] + [fp_other],
-                    seed_gens=H.generators)
+        _same_walks(K, fp, fp_move,
+                    [k._fingerprint_move()(fp) for k in ks] + [fp_other],
+                    seed=H)
         draws += 1
     assert draws >= 60, draws
+
+
+def test_walk_builds_the_elements_an_eager_transversal_builds(corpus, monkeypatch):
+    _walks_match_the_eager_walk(corpus, monkeypatch, perm.NARROW_DEGREE)
+
+
+def test_wide_walk_builds_the_elements_an_eager_transversal_builds(corpus, monkeypatch):
+    """The same draws with NARROW_DEGREE = 1, on ``_WidePerm``'s moves."""
+    _walks_match_the_eager_walk(corpus, monkeypatch, 1)

@@ -392,15 +392,18 @@ def test_e6_scan_conjugation_count(conjugations):
     through the two walk generators; it is deterministic.  Walks through
     W(E6)'s six realized generators make 368,456, and then a walk that
     covers every class again makes 625,340.  The class walks' 2 |W|
-    conjugations run on byte tables; the centralizer walks call
-    ``Perm.conjugate``.
+    conjugations run on byte tables, and so do the centralizer walks,
+    through each walk generator's conjugation move; the rest call
+    ``Perm.conjugate`` (5,674 of the same total before the centralizer
+    walks moved onto the moves).
     """
     results = e6_centralizer_scan()
     assert [r.order3_subgroup_classes for r in results] == [
         3, 2, 3, 5, 5, 1, 7, 1, 1, 1, 4, 3, 3, 3, 3, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
     assert all(r.passed for r in results)
     assert sum(conjugations.values()) <= 109_361
-    assert conjugations["conjugate"] == 5_674
+    assert conjugations["conjugate"] == 1_437
+    assert conjugations["conjugation move"] == 4_237
 
 
 def test_e6_scan_product_count(products):
